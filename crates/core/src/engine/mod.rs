@@ -528,13 +528,6 @@ impl<'a> InferenceEngine<'a> {
         &self.placements
     }
 
-    /// PipeMoE-style overlap: with `m` micro-batches the longer stream
-    /// hides the shorter except for one pipeline-fill fragment.
-    fn overlap(&self, compute: f64, comm: f64) -> f64 {
-        let m = self.config.pipeline_microbatches as f64;
-        compute.max(comm) + compute.min(comm) / m
-    }
-
     /// Runs `iterations` steps.
     pub fn run(&mut self, iterations: usize) -> RunSummary {
         for _ in 0..iterations {
@@ -580,18 +573,21 @@ impl<'a> InferenceEngine<'a> {
             }
         };
         self.trace.set_tokens_per_group(tokens_per_group);
-        let trace = self.trace.next_iteration();
 
         // 2. Attention phase costs (identical across layers).
+        let microbatches = config.pipeline_microbatches;
         let attn =
             config
                 .cost
                 .attention_time(model, tokens_per_group as f64, avg_context, tp, phase);
         let ar_bytes = tokens_per_group as f64 * model.token_bytes(Precision::Fp16);
         let ar_time = self.ar_ser_per_byte * ar_bytes + self.ar_latency;
-        let attn_phase = self.overlap(attn.total(), ar_time);
+        let attn_phase = overlap(microbatches, attn.total(), ar_time);
 
-        // 3. Per-layer MoE phases.
+        // 3. Per-layer MoE phases, fed one layer of gating at a time. On
+        // large models the sampling runs on a producer thread concurrently
+        // with this loop (`TraceGenerator::stream_iteration`); the layers
+        // and the RNG stream are the same either way.
         let token_bytes = model.token_bytes(Precision::Fp16);
         let mut metrics = IterationMetrics {
             iteration: self.iteration,
@@ -605,10 +601,11 @@ impl<'a> InferenceEngine<'a> {
         }
         let mut per_layer_loads: Vec<Vec<f64>> = Vec::with_capacity(num_layers);
         let mut cached_comm: Option<(f64, f64)> = None;
-        for (l, gating) in trace.layers.iter().enumerate() {
+        let mut l = 0;
+        self.trace.stream_iteration(|gating| {
             let est = self.a2a.estimate_with(
                 self.backend.as_ref(),
-                gating,
+                &gating,
                 &self.placements[l],
                 token_bytes,
                 tokens_per_group,
@@ -632,7 +629,7 @@ impl<'a> InferenceEngine<'a> {
             }
             // Shared experts run where the tokens live.
             if model.num_shared_experts > 0 {
-                let local_tokens = trace.layers[l].total_selections() as f64
+                let local_tokens = gating.total_selections() as f64
                     / model.experts_per_token as f64
                     / self.topo.num_devices() as f64;
                 moe_comp += config
@@ -642,7 +639,7 @@ impl<'a> InferenceEngine<'a> {
             }
 
             let a2a_time = dispatch_t + combine_t;
-            let moe_phase = self.overlap(moe_comp, a2a_time);
+            let moe_phase = overlap(microbatches, moe_comp, a2a_time);
 
             // Accumulate.
             metrics.attention_compute += attn.total();
@@ -683,7 +680,8 @@ impl<'a> InferenceEngine<'a> {
                 *slot = (1.0 - ema) * *slot + ema * t as f64;
             }
             per_layer_loads.push(self.placements[l].device_loads(&self.loads[l]));
-        }
+            l += 1;
+        });
 
         // 4. Balancing trigger (Eq. 2) and execution.
         if let Some(balancer) = self.balancer.as_mut() {
@@ -984,6 +982,12 @@ impl<'a> InferenceEngine<'a> {
             (shed, rejected)
         })
     }
+}
+
+/// PipeMoE-style overlap: with `microbatches` micro-batches the longer
+/// stream hides the shorter except for one pipeline-fill fragment.
+fn overlap(microbatches: usize, compute: f64, comm: f64) -> f64 {
+    compute.max(comm) + compute.min(comm) / microbatches as f64
 }
 
 #[cfg(test)]

@@ -30,12 +30,18 @@ pub struct ExpertPlacement {
     num_experts: usize,
     num_devices: usize,
     slots_per_device: usize,
-    /// `replicas[e]` — devices hosting expert `e`; the primary is first.
+    /// `home[e]` — the fixed primary device of expert `e`.
+    home: Vec<DeviceId>,
+    /// `replicas[e]` — devices hosting expert `e`, primary first, once `e`
+    /// has a shadow replica; empty while the primary is its only one, so
+    /// the initial layout needs no allocation per expert.
     replicas: Vec<Vec<DeviceId>>,
     /// `shadow[d]` — experts occupying shadow slots on device `d`.
     shadow: Vec<Vec<ExpertId>>,
-    /// `primary[d]` — experts whose primary home is device `d`.
-    primary: Vec<Vec<ExpertId>>,
+    /// The ids `0..num_experts`. Homes are non-decreasing in the id, so
+    /// device `d`'s primaries are `ids[home_start[d]..home_start[d + 1]]`.
+    ids: Vec<ExpertId>,
+    home_start: Vec<usize>,
 }
 
 /// Errors from placement mutation.
@@ -81,20 +87,21 @@ impl ExpertPlacement {
     pub fn balanced(num_experts: usize, num_devices: usize, slots_per_device: usize) -> Self {
         assert!(num_experts > 0, "need at least one expert");
         assert!(num_devices > 0, "need at least one device");
-        let mut replicas = Vec::with_capacity(num_experts);
-        let mut primary = vec![Vec::new(); num_devices];
-        for e in 0..num_experts {
-            let d = DeviceId((e * num_devices / num_experts) as u32);
-            replicas.push(vec![d]);
-            primary[d.index()].push(e);
-        }
+        let home: Vec<DeviceId> = (0..num_experts)
+            .map(|e| DeviceId((e * num_devices / num_experts) as u32))
+            .collect();
+        let home_start = (0..=num_devices)
+            .map(|d| home.partition_point(|h| h.index() < d))
+            .collect();
         ExpertPlacement {
             num_experts,
             num_devices,
             slots_per_device,
-            replicas,
+            home,
+            replicas: vec![Vec::new(); num_experts],
             shadow: vec![Vec::new(); num_devices],
-            primary,
+            ids: (0..num_experts).collect(),
+            home_start,
         }
     }
 
@@ -115,22 +122,25 @@ impl ExpertPlacement {
 
     /// Devices hosting expert `e` (primary first).
     pub fn replicas(&self, e: ExpertId) -> &[DeviceId] {
-        &self.replicas[e]
+        match self.replicas[e].as_slice() {
+            [] => std::slice::from_ref(&self.home[e]),
+            all => all,
+        }
     }
 
     /// Number of devices hosting expert `e` (the `Num_e` of Algorithm 1).
     pub fn num_replicas(&self, e: ExpertId) -> usize {
-        self.replicas[e].len()
+        self.replicas(e).len()
     }
 
     /// The fixed primary home of expert `e`.
     pub fn primary_device(&self, e: ExpertId) -> DeviceId {
-        self.replicas[e][0]
+        self.home[e]
     }
 
     /// Experts whose primary home is `d`.
     pub fn primary_experts(&self, d: DeviceId) -> &[ExpertId] {
-        &self.primary[d.index()]
+        &self.ids[self.home_start[d.index()]..self.home_start[d.index() + 1]]
     }
 
     /// Experts occupying shadow slots on `d`.
@@ -140,14 +150,14 @@ impl ExpertPlacement {
 
     /// All experts hosted on `d` (primary then shadow).
     pub fn device_experts(&self, d: DeviceId) -> Vec<ExpertId> {
-        let mut all = self.primary[d.index()].clone();
+        let mut all = self.primary_experts(d).to_vec();
         all.extend_from_slice(&self.shadow[d.index()]);
         all
     }
 
     /// Whether `d` hosts expert `e` (as primary or shadow).
     pub fn hosts(&self, d: DeviceId, e: ExpertId) -> bool {
-        self.replicas[e].contains(&d)
+        self.replicas(e).contains(&d)
     }
 
     /// Whether `d` has at least one unoccupied shadow slot.
@@ -171,6 +181,9 @@ impl ExpertPlacement {
             return Err(PlacementError::NoFreeSlot { device: d });
         }
         self.shadow[d.index()].push(e);
+        if self.replicas[e].is_empty() {
+            self.replicas[e].push(self.home[e]);
+        }
         self.replicas[e].push(d);
         Ok(())
     }
@@ -189,6 +202,9 @@ impl ExpertPlacement {
             .expect("replica list consistent with shadow list");
         debug_assert!(rpos > 0, "primary replicas are not removable");
         self.replicas[e].remove(rpos);
+        if self.replicas[e].len() == 1 {
+            self.replicas[e].clear();
+        }
         true
     }
 
@@ -197,8 +213,9 @@ impl ExpertPlacement {
     /// indexed by device.
     pub fn device_loads(&self, expert_loads: &[f64]) -> Vec<f64> {
         let mut loads = vec![0.0; self.num_devices];
-        for (e, replicas) in self.replicas.iter().enumerate() {
-            let share = expert_loads[e] / replicas.len() as f64;
+        for (e, &load) in expert_loads[..self.num_experts].iter().enumerate() {
+            let replicas = self.replicas(e);
+            let share = load / replicas.len() as f64;
             for &d in replicas {
                 loads[d.index()] += share;
             }
@@ -232,6 +249,20 @@ mod tests {
         assert!(p.remove_replica(2, DeviceId(0)));
         assert!(p.has_free_slot(DeviceId(0)));
         assert!(!p.remove_replica(2, DeviceId(0)));
+    }
+
+    #[test]
+    fn removing_every_shadow_restores_the_initial_layout() {
+        let fresh = ExpertPlacement::balanced(8, 4, 2);
+        let mut p = fresh.clone();
+        p.add_replica(1, DeviceId(2)).unwrap();
+        p.add_replica(1, DeviceId(3)).unwrap();
+        assert_eq!(p.replicas(1), &[DeviceId(0), DeviceId(2), DeviceId(3)]);
+        assert!(p.remove_replica(1, DeviceId(2)));
+        assert_eq!(p.replicas(1), &[DeviceId(0), DeviceId(3)]);
+        assert!(p.remove_replica(1, DeviceId(3)));
+        assert_eq!(p.replicas(1), &[DeviceId(0)]);
+        assert_eq!(p, fresh);
     }
 
     #[test]

@@ -128,14 +128,15 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns a byte offset plus message on malformed input.
+    /// Returns a byte offset plus message on malformed input, including
+    /// arrays and objects nested more than [`MAX_DEPTH`] deep.
     pub fn parse(text: &str) -> Result<Value, ParseError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
         };
         p.skip_ws();
-        let value = p.value()?;
+        let value = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(p.err("trailing characters"));
@@ -178,6 +179,15 @@ fn write_escaped(out: &mut String, s: &str) {
     }
     out.push('"');
 }
+
+/// Deepest nesting of arrays and objects [`Value::parse`] accepts. The
+/// parser recurses once per level, so without a bound a hostile document
+/// such as `"[" × 200000` overflows the stack and aborts the process. The
+/// workspace's own documents nest fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// [`ParseError::message`] for a document nested deeper than [`MAX_DEPTH`].
+const TOO_DEEP: &str = "nesting deeper than MAX_DEPTH";
 
 /// Parse failure: byte offset and message.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -232,9 +242,11 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, ParseError> {
+    /// Parses the value at `pos`, itself nested inside `depth` containers.
+    fn value(&mut self, depth: usize) -> Result<Value, ParseError> {
         match self.bytes.get(self.pos) {
             None => Err(self.err("unexpected end of input")),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(self.err(TOO_DEEP)),
             Some(b'n') => self.eat("null").map(|()| Value::Null),
             Some(b't') => self.eat("true").map(|()| Value::Bool(true)),
             Some(b'f') => self.eat("false").map(|()| Value::Bool(false)),
@@ -249,7 +261,7 @@ impl<'a> Parser<'a> {
                 }
                 loop {
                     self.skip_ws();
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     self.skip_ws();
                     match self.bytes.get(self.pos) {
                         Some(b',') => self.pos += 1,
@@ -278,7 +290,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                     self.skip_ws();
-                    members.push((key, self.value()?));
+                    members.push((key, self.value(depth + 1)?));
                     self.skip_ws();
                     match self.bytes.get(self.pos) {
                         Some(b',') => self.pos += 1,
@@ -411,6 +423,19 @@ mod tests {
         assert!(Value::parse("[1,]").is_err());
         assert!(Value::parse("[1] trailing").is_err());
         assert!(Value::parse(r#""unterminated"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Value::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Value::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((err.offset, err.message), (MAX_DEPTH, TOO_DEEP));
+        // Unbounded recursion used to overflow the stack on this input.
+        let err = Value::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!((err.offset, err.message), (MAX_DEPTH, TOO_DEEP));
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1);
+        assert_eq!(Value::parse(&objects).unwrap_err().message, TOO_DEEP);
     }
 
     #[test]

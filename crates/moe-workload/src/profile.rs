@@ -42,6 +42,14 @@ pub enum WorkloadError {
         /// The rejected value.
         value: f64,
     },
+    /// The arrival rate ceiling must have a finite reciprocal. A subnormal
+    /// rate passes the positivity check, but its mean inter-arrival time
+    /// `1/rate` overflows to infinity and the thinning sampler never
+    /// advances.
+    UnderflowingRate {
+        /// The rejected rate.
+        value: f64,
+    },
     /// The diurnal period must be positive.
     NonPositivePeriod {
         /// The rejected value.
@@ -125,6 +133,12 @@ impl std::fmt::Display for WorkloadError {
             // `should_panic` contracts on the panicking wrappers.
             WorkloadError::NonPositiveRate { value } => {
                 write!(f, "rate must be positive, got {value}")
+            }
+            WorkloadError::UnderflowingRate { value } => {
+                write!(
+                    f,
+                    "rate {value} is too small: its mean inter-arrival time 1/rate overflows"
+                )
             }
             WorkloadError::NonPositivePeriod { value } => {
                 write!(f, "period must be positive, got {value}")

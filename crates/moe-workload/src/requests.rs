@@ -129,17 +129,16 @@ impl ArrivalProcess {
     ///
     /// # Errors
     ///
-    /// [`WorkloadError::NonPositiveRate`], [`WorkloadError::NonPositivePeriod`],
-    /// or [`WorkloadError::AmplitudeOutOfRange`].
+    /// [`WorkloadError::NonPositiveRate`], [`WorkloadError::UnderflowingRate`],
+    /// [`WorkloadError::NonPositivePeriod`], or
+    /// [`WorkloadError::AmplitudeOutOfRange`].
     pub fn try_new(
         base_rate: f64,
         amplitude: f64,
         period: f64,
         seed: u64,
     ) -> Result<Self, WorkloadError> {
-        if base_rate <= 0.0 || !base_rate.is_finite() {
-            return Err(WorkloadError::NonPositiveRate { value: base_rate });
-        }
+        check_rate(base_rate)?;
         ArrivalSpec::Diurnal { amplitude, period }.validate()?;
         Ok(ArrivalProcess {
             base_rate,
@@ -154,19 +153,24 @@ impl ArrivalProcess {
     ///
     /// # Errors
     ///
-    /// [`WorkloadError::NonPositiveRate`] or any phase-list violation from
-    /// [`validate_phases`](crate::profile::validate_phases).
+    /// [`WorkloadError::NonPositiveRate`], [`WorkloadError::UnderflowingRate`]
+    /// (also for an underflowing peak phase rate), or any phase-list
+    /// violation from [`validate_phases`](crate::profile::validate_phases).
     pub fn try_with_phases(
         base_rate: f64,
         phases: Vec<Phase>,
         seed: u64,
     ) -> Result<Self, WorkloadError> {
-        if base_rate <= 0.0 || !base_rate.is_finite() {
-            return Err(WorkloadError::NonPositiveRate { value: base_rate });
-        }
+        check_rate(base_rate)?;
         crate::profile::validate_phases(&phases)?;
         let cycle: f64 = phases.iter().map(|p| p.duration).sum();
         let peak_factor = phases.iter().map(|p| p.rate_factor).fold(0.0, f64::max);
+        // The thinning ceiling is the peak phase rate, which can underflow
+        // even when the base rate does not.
+        let peak = base_rate * peak_factor;
+        if !(1.0 / peak).is_finite() {
+            return Err(WorkloadError::UnderflowingRate { value: peak });
+        }
         Ok(ArrivalProcess {
             base_rate,
             shape: RateShape::Phases {
@@ -237,6 +241,18 @@ impl ArrivalProcess {
             }
         }
     }
+}
+
+/// A base arrival rate must be positive and finite, with a finite
+/// reciprocal: the thinning sampler steps time by `-ln(u) / rate`.
+fn check_rate(rate: f64) -> Result<(), WorkloadError> {
+    if rate <= 0.0 || !rate.is_finite() {
+        return Err(WorkloadError::NonPositiveRate { value: rate });
+    }
+    if !(1.0 / rate).is_finite() {
+        return Err(WorkloadError::UnderflowingRate { value: rate });
+    }
+    Ok(())
 }
 
 /// Where a generator's requests come from: the thinning sampler, or replay
@@ -523,6 +539,24 @@ mod tests {
     #[should_panic(expected = "need positive scenario weights")]
     fn empty_scenario_weights_rejected() {
         RequestGenerator::new(ArrivalProcess::new(1.0, 0.0, 1.0, 0), vec![], 0);
+    }
+
+    #[test]
+    fn subnormal_rates_rejected() {
+        assert_eq!(
+            ArrivalProcess::try_new(1e-320, 0.3, 600.0, 0).unwrap_err(),
+            WorkloadError::UnderflowingRate { value: 1e-320 }
+        );
+        let phases = vec![Phase {
+            duration: 1.0,
+            rate_factor: 1e-300,
+        }];
+        assert!(matches!(
+            ArrivalProcess::try_with_phases(1e-20, phases, 0).unwrap_err(),
+            WorkloadError::UnderflowingRate { .. }
+        ));
+        // The smallest normal rate still has a finite reciprocal.
+        assert!(ArrivalProcess::try_new(f64::MIN_POSITIVE, 0.3, 600.0, 0).is_ok());
     }
 
     #[test]

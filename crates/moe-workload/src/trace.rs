@@ -1,5 +1,8 @@
 //! Iteration-by-iteration expert-selection traces.
 
+use std::ops::ControlFlow;
+use std::sync::mpsc;
+
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
@@ -8,6 +11,20 @@ use moe_model::ModelConfig;
 use crate::affinity::AffinityModel;
 use crate::gating::sample_gating_counts;
 use crate::scenario::Scenario;
+
+/// Gating work per iteration (`layers × groups × experts` binomial draws)
+/// from which [`TraceGenerator::stream_iteration`] samples on a producer
+/// thread. Spawning a scoped thread, passing one layer through the channel
+/// and joining costs about 40–50 µs on a 2-core x86 host, the price of
+/// ~600 draws at the large-`n` sampler's ~74 ns each. At 2^15 draws
+/// (~2.4 ms of sampling) that fixed cost stays under 2% of the work it
+/// overlaps; below it the possible saving is too small to pay for a thread
+/// per step. DeepSeek-V3 on an 8×8 wafer (237,568 draws) streams; the tiny
+/// preset (256) samples inline.
+pub const OVERLAP_MIN_SAMPLES: usize = 1 << 15;
+
+/// Layers the producer thread may run ahead of the consumer.
+const STREAM_DEPTH: usize = 4;
 
 /// How scenario weights evolve over the lifetime of a trace.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
@@ -185,9 +202,32 @@ impl TraceGenerator {
 
     /// Generates the next iteration's gating trace.
     pub fn next_iteration(&mut self) -> IterationTrace {
-        let weights = self.mix.weights(self.iteration);
-        let uniform_dist = self.uniform.then(|| self.affinity.uniform());
+        let iteration = self.iteration;
+        let weights = self.mix.weights(iteration);
         let mut layers = Vec::with_capacity(self.affinity.num_layers());
+        self.for_each_layer(|gating| {
+            layers.push(gating);
+            ControlFlow::Continue(())
+        });
+        IterationTrace {
+            iteration,
+            weights,
+            layers,
+        }
+    }
+
+    /// Samples the next iteration and hands each layer's gating to `sink`
+    /// in layer order, without materialising the whole [`IterationTrace`].
+    ///
+    /// This is the one sampling loop: [`Self::next_iteration`] collects over
+    /// it, so the two interleave freely and yield identical layers. If
+    /// `sink` breaks, the remaining layers are not sampled; the iteration
+    /// counter still advances, but the RNG stream no longer matches an
+    /// uninterrupted run.
+    pub fn for_each_layer(&mut self, mut sink: impl FnMut(LayerGating) -> ControlFlow<()>) {
+        let weights = self.mix.weights(self.iteration);
+        self.iteration += 1;
+        let uniform_dist = self.uniform.then(|| self.affinity.uniform());
         for layer in 0..self.affinity.num_layers() {
             let mixed;
             let dist: &[f64] = match &uniform_dist {
@@ -202,15 +242,53 @@ impl TraceGenerator {
                     sample_gating_counts(&mut self.rng, dist, self.tokens_per_group, self.top_k)
                 })
                 .collect();
-            layers.push(LayerGating { counts });
+            if sink(LayerGating { counts }).is_break() {
+                return;
+            }
         }
-        let trace = IterationTrace {
-            iteration: self.iteration,
-            weights,
-            layers,
-        };
-        self.iteration += 1;
-        trace
+    }
+
+    /// Gating work of one iteration: binomial draws over
+    /// `layers × groups × experts`.
+    fn samples_per_iteration(&self) -> usize {
+        self.affinity.num_layers() * self.num_groups * self.affinity.num_experts()
+    }
+
+    /// Streams the next iteration's layers into `consume`, in order.
+    ///
+    /// When the iteration's gating work reaches [`OVERLAP_MIN_SAMPLES`],
+    /// sampling runs on a scoped producer thread that feeds a bounded
+    /// channel while `consume` runs on the calling thread; below it, the
+    /// layers are sampled inline. Either way the layers and the generator's
+    /// state afterwards equal those of [`Self::next_iteration`].
+    pub fn stream_iteration(&mut self, consume: impl FnMut(LayerGating)) {
+        let overlap = self.samples_per_iteration() >= OVERLAP_MIN_SAMPLES;
+        self.stream_with(overlap, consume);
+    }
+
+    fn stream_with(&mut self, overlap: bool, mut consume: impl FnMut(LayerGating)) {
+        if !overlap {
+            self.for_each_layer(|gating| {
+                consume(gating);
+                ControlFlow::Continue(())
+            });
+            return;
+        }
+        std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::sync_channel(STREAM_DEPTH);
+            // A failed send means the consumer unwound and dropped `rx`:
+            // stop quietly so the consumer's panic is the one that surfaces.
+            let producer = scope.spawn(move || {
+                self.for_each_layer(|gating| match tx.send(gating) {
+                    Ok(()) => ControlFlow::Continue(()),
+                    Err(_) => ControlFlow::Break(()),
+                });
+            });
+            rx.into_iter().for_each(&mut consume);
+            if let Err(payload) = producer.join() {
+                std::panic::resume_unwind(payload);
+            }
+        });
     }
 }
 
@@ -297,6 +375,53 @@ mod tests {
         for &t in &totals {
             assert!((t as f64 - mean).abs() < 0.35 * mean, "{t} vs {mean}");
         }
+    }
+
+    /// The overlapped and the inline path of `stream_iteration` draw the
+    /// same layers as `next_iteration`, and leave the RNG where it would
+    /// have been: the call that follows them is identical too.
+    #[test]
+    fn streamed_iterations_match_next_iteration() {
+        let seeded = TraceGenerator::new(&config(), WorkloadMix::mixed(7.0), 3, 48, 23);
+        let mut reference = seeded.clone();
+        let mut overlapped = seeded.clone();
+        let mut inline = seeded;
+        for _ in 0..5 {
+            let want = reference.next_iteration().layers;
+            let mut got_overlapped = Vec::new();
+            overlapped.stream_with(true, |g| got_overlapped.push(g));
+            let mut got_inline = Vec::new();
+            inline.stream_with(false, |g| got_inline.push(g));
+            assert_eq!(got_overlapped, want);
+            assert_eq!(got_inline, want);
+        }
+        assert_eq!(overlapped.iteration(), reference.iteration());
+        assert_eq!(inline.iteration(), reference.iteration());
+        let next = reference.next_iteration();
+        assert_eq!(overlapped.next_iteration(), next);
+        assert_eq!(inline.next_iteration(), next);
+    }
+
+    #[test]
+    fn overlap_threshold_splits_presets() {
+        let mk = |config: &ModelConfig, groups| {
+            TraceGenerator::new(config, WorkloadMix::mixed(40.0), groups, 256, 1)
+                .samples_per_iteration()
+        };
+        assert!(mk(&ModelConfig::deepseek_v3(), 16) >= OVERLAP_MIN_SAMPLES);
+        assert!(mk(&ModelConfig::tiny(), 1) < OVERLAP_MIN_SAMPLES);
+    }
+
+    /// A consumer panic surfaces as itself: the producer stops on its
+    /// failed send instead of masking it.
+    #[test]
+    fn consumer_panic_surfaces_unchanged() {
+        let mut gen = TraceGenerator::new(&config(), WorkloadMix::mixed(7.0), 3, 48, 23);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            gen.stream_with(true, |_| panic!("consumer failed"));
+        }))
+        .unwrap_err();
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"consumer failed"));
     }
 
     #[test]

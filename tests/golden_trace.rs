@@ -192,3 +192,65 @@ fn golden_scenario_is_deterministic_in_process() {
         moentwine_bench::golden::fields_to_json(&snapshot(&r2, &s2)).pretty()
     );
 }
+
+/// The paper's headline configuration (Fig. 16): DeepSeek-V3 on an 8×8
+/// wafer, ER-Mapping at tp=4, the NI-Balancer and a fixed 256-token decode
+/// batch. Its gating work per iteration (58 layers × 16 groups × 256
+/// experts) is far above the engine's overlap threshold, so this case pins
+/// the path where gating is sampled on a producer thread concurrently with
+/// the layer loop. Per-iteration times and migration counts are in the
+/// snapshot, so a single shifted random draw shows up as a named field.
+fn run_ds3_decode() -> Vec<(String, f64)> {
+    let topo = Mesh::new(8, PlatformParams::dojo_like()).build();
+    let table = RouteTable::build(&topo);
+    let plan = ErMapping::with_tp_degree(topo.mesh_dims().unwrap(), 4)
+        .unwrap()
+        .plan();
+    let mut config = EngineConfig::new(ModelConfig::deepseek_v3())
+        .with_seed(29)
+        .with_balancer(BalancerKind::NonInvasive)
+        .with_workload(WorkloadMix::mixed(40.0));
+    config.slots_per_device = 2;
+    let mut engine = InferenceEngine::new(&topo, &table, &plan, config);
+    let run = engine.run(4);
+    let mut fields = vec![
+        ("run.iterations".to_string(), run.iterations as f64),
+        ("run.mean_iteration_time".into(), run.mean_iteration_time),
+        ("run.mean_all_to_all".into(), run.mean_all_to_all),
+        ("run.mean_moe_compute".into(), run.mean_moe_compute),
+        ("run.mean_load_ratio".into(), run.mean_load_ratio),
+        (
+            "run.migrations_started".into(),
+            run.migrations_started as f64,
+        ),
+        (
+            "run.migrations_completed".into(),
+            run.migrations_completed as f64,
+        ),
+    ];
+    for m in &engine.history {
+        let i = m.iteration;
+        fields.push((format!("iter{i}.iteration_time"), m.iteration_time));
+        fields.push((format!("iter{i}.dispatch"), m.dispatch));
+        fields.push((format!("iter{i}.max_device_tokens"), m.max_device_tokens));
+        fields.push((
+            format!("iter{i}.migrations_started"),
+            m.migrations_started as f64,
+        ));
+        fields.push((
+            format!("iter{i}.migrations_completed"),
+            m.migrations_completed as f64,
+        ));
+    }
+    fields
+}
+
+#[test]
+fn golden_trace_ds3_ni_decode() {
+    moentwine_bench::golden::check_or_bless(
+        &golden_dir().join("ds3_ni_decode.json"),
+        &run_ds3_decode(),
+        "DeepSeek-V3 8×8 er tp=4 non-invasive decode",
+        "GOLDEN_BLESS=1 cargo test --test golden_trace",
+    );
+}

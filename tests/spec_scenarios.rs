@@ -8,6 +8,7 @@ use std::path::PathBuf;
 
 use moentwine::prelude::*;
 use moentwine::spec::Scenario as SpecScenario;
+use moentwine::workload::WorkloadError;
 
 fn scenarios_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/scenarios")
@@ -137,6 +138,11 @@ fn malformed_scenarios_fail_with_typed_errors() {
         ScenarioSpec::from_json_text("{"),
         Err(ConfigError::Json(_))
     ));
+    // Hostile nesting is a parse error, not a stack overflow.
+    assert!(matches!(
+        ScenarioSpec::from_json_text(&"[".repeat(200_000)),
+        Err(ConfigError::Json(_))
+    ));
     assert!(matches!(
         ScenarioSpec::from_json_text(r#"{"schema": "moentwine/other/v1"}"#),
         Err(ConfigError::SchemaMismatch { .. })
@@ -151,4 +157,35 @@ fn malformed_scenarios_fail_with_typed_errors() {
     // And an impossible mapping is a typed mapping error.
     let spec = ScenarioSpec::new("bad-tp", PlatformSpec::wsc(4)).with_mapping(MappingSpec::er(5));
     assert!(matches!(spec.build(), Err(ConfigError::Mapping(_))));
+}
+
+/// A subnormal `request_rate` passes the finite-positive check, but its
+/// mean inter-arrival time `1/rate` is infinite: the arrival sampler used
+/// to spin forever. Both the single-engine serving path and the fleet path
+/// must report it as a typed error. The run happens on a worker thread so a
+/// regression fails here instead of hanging the suite.
+#[test]
+fn subnormal_request_rate_is_a_typed_error_not_a_hang() {
+    for file in ["multi_wafer.json", "fleet_p2c.json"] {
+        let text = std::fs::read_to_string(scenarios_dir().join(file)).expect("read example");
+        let needle = "\"request_rate\": 6000,";
+        assert!(text.contains(needle), "{file}: no {needle}");
+        let text = text.replace(needle, "\"request_rate\": 1e-320,");
+        let spec = ScenarioSpec::from_json_text(&text).expect("subnormal rate parses");
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(spec.build().and_then(|s| s.run()).map(|_| ()));
+        });
+        let result = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{file}: subnormal request_rate hung"));
+        assert!(
+            matches!(
+                result,
+                Err(ConfigError::Workload(WorkloadError::UnderflowingRate { value }))
+                    if value == 1e-320
+            ),
+            "{file}: {result:?}"
+        );
+    }
 }
