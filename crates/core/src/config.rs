@@ -39,11 +39,27 @@ pub enum ConfigError {
         /// The rejected value.
         value: f64,
     },
+    /// A scheduled engine's `iteration_period` (seconds per iteration in
+    /// the fixed-period serving clock) must be positive and finite, with a
+    /// finite reciprocal.
+    IterationPeriodOutOfRange {
+        /// The rejected value.
+        value: f64,
+    },
     /// `cache_entries` must be ≥ 1: the memoizing backend needs at least
     /// one schedule slot.
     CacheEntriesZero,
     /// A fleet needs at least one replica.
     ReplicasZero,
+    /// A fleet may hold at most
+    /// [`MAX_REPLICAS`](crate::fleet::MAX_REPLICAS) replicas, counting its
+    /// initial replicas and every timeline scale-up.
+    TooManyReplicas {
+        /// The requested total (saturating at `usize::MAX`).
+        replicas: usize,
+        /// The ceiling.
+        max: usize,
+    },
     /// Fleet replicas need a serving batch mode
     /// ([`BatchMode::Scheduled`](crate::engine::BatchMode::Scheduled) or
     /// [`BatchMode::External`](crate::engine::BatchMode::External)), not
@@ -159,10 +175,23 @@ impl std::fmt::Display for ConfigError {
             ConfigError::LoadEmaOutOfRange { value } => {
                 write!(f, "EMA factor must be in (0, 1], got {value}")
             }
+            ConfigError::IterationPeriodOutOfRange { value } => {
+                write!(
+                    f,
+                    "iteration_period must be positive and finite with a finite reciprocal, \
+                     got {value}"
+                )
+            }
             ConfigError::CacheEntriesZero => {
                 write!(f, "cache_entries must be ≥ 1")
             }
             ConfigError::ReplicasZero => write!(f, "need at least one replica"),
+            ConfigError::TooManyReplicas { replicas, max } => {
+                write!(
+                    f,
+                    "fleet asks for {replicas} replicas (initial + scale-ups), at most {max}"
+                )
+            }
             ConfigError::FleetNeedsServingBatch => {
                 write!(
                     f,
@@ -279,6 +308,17 @@ mod tests {
         assert!(ConfigError::LoadEmaOutOfRange { value: 2.0 }
             .to_string()
             .contains("(0, 1]"));
+        assert_eq!(
+            ConfigError::TooManyReplicas {
+                replicas: 70_000,
+                max: 65_536,
+            }
+            .to_string(),
+            "fleet asks for 70000 replicas (initial + scale-ups), at most 65536"
+        );
+        assert!(ConfigError::IterationPeriodOutOfRange { value: -1.0 }
+            .to_string()
+            .contains("iteration_period must be positive"));
         assert!(ConfigError::FleetEventsUnsorted { index: 2 }
             .to_string()
             .contains("fleet event 2"));

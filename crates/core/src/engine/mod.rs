@@ -245,7 +245,8 @@ impl EngineConfig {
 
     /// Checks the configuration's internal consistency: stride and
     /// micro-batch counts ≥ 1, `load_ema` and `kv_hbm_fraction` in
-    /// `(0, 1]`, and at least one schedule-cache entry. This is the single
+    /// `(0, 1]`, at least one schedule-cache entry, and a usable
+    /// `iteration_period` in [`BatchMode::Scheduled`]. This is the single
     /// validation gate behind [`InferenceEngine::try_new`],
     /// [`Fleet::try_new`](crate::fleet::Fleet::try_new), and the
     /// `moentwine-spec` scenario layer.
@@ -272,6 +273,19 @@ impl EngineConfig {
         }
         if self.cache_entries < 1 {
             return Err(ConfigError::CacheEntriesZero);
+        }
+        if let BatchMode::Scheduled {
+            iteration_period, ..
+        } = self.batch
+        {
+            if !(iteration_period > 0.0
+                && iteration_period.is_finite()
+                && (1.0 / iteration_period).is_finite())
+            {
+                return Err(ConfigError::IterationPeriodOutOfRange {
+                    value: iteration_period,
+                });
+            }
         }
         self.workload_profile.validate()?;
         Ok(())
@@ -1434,6 +1448,25 @@ mod tests {
 
         let c = base().with_cache_entries(0);
         assert_eq!(c.validate(), Err(ConfigError::CacheEntriesZero));
+
+        for period in [0.0, -0.02, f64::INFINITY, f64::NAN, 1e-320] {
+            let mut c = base();
+            c.batch = BatchMode::Scheduled {
+                mode: SchedulingMode::Hybrid,
+                max_batch_tokens: 2048,
+                max_active: 64,
+                request_rate: 100.0,
+                iteration_period: period,
+            };
+            assert!(
+                matches!(
+                    c.validate(),
+                    Err(ConfigError::IterationPeriodOutOfRange { value })
+                        if value.to_bits() == period.to_bits()
+                ),
+                "{period}"
+            );
+        }
     }
 
     #[test]

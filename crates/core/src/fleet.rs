@@ -308,6 +308,34 @@ impl ReplicaState {
     }
 }
 
+/// The most replicas a fleet may ever hold: its initial replicas plus every
+/// scale-up in its timeline. The fleet, its router and timeline validation
+/// size per-replica tables from these counts before anything runs, so a
+/// mistyped count (say `4294967296`) must fail as a typed error, not as an
+/// allocation abort. The ceiling sits far above any checked-in scenario
+/// (64 replicas) and is not a capacity promise.
+pub const MAX_REPLICAS: usize = 1 << 16;
+
+/// Checks `replicas` plus the scale-ups in `events` against
+/// [`MAX_REPLICAS`].
+///
+/// # Errors
+///
+/// [`ConfigError::TooManyReplicas`] with the (saturated) total.
+pub fn check_replica_ceiling(replicas: usize, events: &[FleetEvent]) -> Result<(), ConfigError> {
+    let total = events.iter().fold(replicas, |n, event| match event.kind {
+        FleetEventKind::ScaleUp { count } => n.saturating_add(count),
+        _ => n,
+    });
+    if total > MAX_REPLICAS {
+        return Err(ConfigError::TooManyReplicas {
+            replicas: total,
+            max: MAX_REPLICAS,
+        });
+    }
+    Ok(())
+}
+
 /// Validates a fleet event timeline against an initial replica count by
 /// simulating the projected lifecycle states: times must be finite,
 /// non-negative, and sorted; replica indices must be in range at their
@@ -326,8 +354,10 @@ impl ReplicaState {
 /// [`ConfigError::FleetEventsUnsorted`] /
 /// [`ConfigError::FleetEventReplicaOutOfRange`] /
 /// [`ConfigError::FleetEventNoOp`] /
-/// [`ConfigError::FleetEventLeavesNoReplicas`] variant.
+/// [`ConfigError::FleetEventLeavesNoReplicas`] variant, or
+/// [`ConfigError::TooManyReplicas`] before any per-replica table is built.
 pub fn validate_fleet_events(replicas: usize, events: &[FleetEvent]) -> Result<(), ConfigError> {
+    check_replica_ceiling(replicas, events)?;
     validate_fleet_events_for_roles(&vec![ReplicaRole::Colocated; replicas], events)
 }
 
@@ -348,6 +378,7 @@ pub fn validate_fleet_events_for_roles(
     roles: &[ReplicaRole],
     events: &[FleetEvent],
 ) -> Result<(), ConfigError> {
+    check_replica_ceiling(roles.len(), events)?;
     let disaggregated = roles.iter().any(|&r| r != ReplicaRole::Colocated);
     let mut roles: Vec<ReplicaRole> = roles.to_vec();
     let mut states = vec![ReplicaState::Active; roles.len()];
@@ -998,6 +1029,7 @@ impl<'a> Fleet<'a> {
         if config.replicas == 0 {
             return Err(crate::config::ConfigError::ReplicasZero);
         }
+        check_replica_ceiling(config.replicas, &config.events)?;
         config.engine.validate()?;
         if !config.roles.is_empty() && config.roles.len() != config.replicas {
             return Err(crate::config::ConfigError::FleetRolesLengthMismatch {
@@ -2581,6 +2613,17 @@ mod tests {
         let config = FleetConfig::new(0, RouterPolicy::RoundRobin, 1.0e3, engine_template(3));
         let err = Fleet::try_new(&topo, &table, &plan, config).err();
         assert_eq!(err, Some(ConfigError::ReplicasZero));
+
+        // Past the ceiling: a typed error before any per-replica table.
+        let config = FleetConfig::new(1 << 32, RouterPolicy::RoundRobin, 1.0e3, engine_template(3));
+        let err = Fleet::try_new(&topo, &table, &plan, config).err();
+        assert_eq!(
+            err,
+            Some(ConfigError::TooManyReplicas {
+                replicas: 1 << 32,
+                max: MAX_REPLICAS,
+            })
+        );
 
         let config = FleetConfig::new(
             2,

@@ -55,6 +55,13 @@ pub enum WorkloadError {
         /// The rejected value.
         value: f64,
     },
+    /// The diurnal period must have a finite reciprocal. A subnormal
+    /// period passes the positivity check, but the phase `t / period`
+    /// overflows to infinity and the instantaneous rate becomes NaN.
+    UnderflowingPeriod {
+        /// The rejected period.
+        value: f64,
+    },
     /// The diurnal amplitude must be in `[0, 1)` (the instantaneous rate
     /// must stay positive).
     AmplitudeOutOfRange {
@@ -142,6 +149,9 @@ impl std::fmt::Display for WorkloadError {
             }
             WorkloadError::NonPositivePeriod { value } => {
                 write!(f, "period must be positive, got {value}")
+            }
+            WorkloadError::UnderflowingPeriod { value } => {
+                write!(f, "period {value} is too small: its reciprocal overflows")
             }
             WorkloadError::AmplitudeOutOfRange { value } => {
                 write!(f, "amplitude must be in [0,1), got {value}")
@@ -381,6 +391,9 @@ impl ArrivalSpec {
             ArrivalSpec::Diurnal { amplitude, period } => {
                 if *period <= 0.0 || !period.is_finite() {
                     return Err(WorkloadError::NonPositivePeriod { value: *period });
+                }
+                if !(1.0 / period).is_finite() {
+                    return Err(WorkloadError::UnderflowingPeriod { value: *period });
                 }
                 if !(0.0..1.0).contains(amplitude) {
                     return Err(WorkloadError::AmplitudeOutOfRange { value: *amplitude });

@@ -560,6 +560,27 @@ mod tests {
     }
 
     #[test]
+    fn subnormal_diurnal_period_rejected() {
+        // Accepted, the phase `t / period` would overflow and the rate turn
+        // NaN.
+        assert_eq!(
+            ArrivalProcess::try_new(1.0, 0.3, 1e-320, 0).unwrap_err(),
+            WorkloadError::UnderflowingPeriod { value: 1e-320 }
+        );
+        assert!(ArrivalSpec::Diurnal {
+            amplitude: 0.3,
+            period: 1e-320,
+        }
+        .validate()
+        .is_err());
+        // The smallest normal period has a finite reciprocal.
+        assert!(ArrivalProcess::try_new(1.0, 0.3, f64::MIN_POSITIVE, 0).is_ok());
+        assert!(WorkloadError::UnderflowingPeriod { value: 1e-320 }
+            .to_string()
+            .contains("reciprocal overflows"));
+    }
+
+    #[test]
     fn try_new_reports_exact_variants() {
         assert_eq!(
             ArrivalProcess::try_new(-2.0, 0.3, 600.0, 0).unwrap_err(),

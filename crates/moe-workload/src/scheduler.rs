@@ -172,6 +172,8 @@ impl BatchScheduler {
         iteration_period: f64,
         generator: RequestGenerator,
     ) -> Self {
+        // Internal invariant: configured periods are rejected as typed
+        // errors by the engine's config validation before they get here.
         assert!(iteration_period > 0.0, "period must be positive");
         BatchScheduler {
             queue: ServingQueue::new(mode, max_batch_tokens, max_active, u64::MAX),

@@ -3,7 +3,8 @@
 use moe_workload::RouterPolicy;
 use moentwine_core::engine::EngineConfig;
 use moentwine_core::fleet::{
-    validate_fleet_events_for_roles, FleetConfig, FleetEvent, FleetScheduler, ReplicaRole,
+    check_replica_ceiling, validate_fleet_events_for_roles, FleetConfig, FleetEvent,
+    FleetScheduler, ReplicaRole,
 };
 use moentwine_core::ConfigError;
 use wsc_sim::CongestionBackend;
@@ -105,6 +106,8 @@ impl FleetSpec {
     ///
     /// Returns the first [`ConfigError`] violated by the shape.
     pub fn validate_shape(&self) -> Result<(), ConfigError> {
+        // First: every check below sizes a per-replica table.
+        check_replica_ceiling(self.replicas, &self.events)?;
         if self.decode_platform.is_some() != self.decode_mapping.is_some() {
             return Err(ConfigError::spec(
                 "fleet.decode_platform",

@@ -14,8 +14,8 @@
 //!   canonicalized schedule shape, so the repeated layers/iterations of an
 //!   engine sweep are simulated once and replayed from the cache.
 //! * [`FlowSimBackend`] — uncached flow-level discrete-event simulation
-//!   ([`NetworkSim`]); every call re-simulates, modelling flows completing
-//!   at different times and freeing bandwidth.
+//!   ([`NetworkSim`](crate::NetworkSim)); every call re-simulates,
+//!   modelling flows completing at different times and freeing bandwidth.
 //!
 //! All three return the same [`AnalyticEstimate`] shape, so callers compose
 //! and report results identically regardless of fidelity, and the cached
@@ -23,13 +23,14 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 use wsc_topology::{DeviceId, LinkId, RouteTable, Topology};
 
 use crate::analytic::{AnalyticEstimate, AnalyticModel};
 use crate::flow::FlowSpec;
-use crate::network::NetworkSim;
+use crate::network::DesWorkspace;
 use crate::schedule::FlowSchedule;
 
 /// Backend selection knob: which [`CongestionModel`] implementation an
@@ -211,12 +212,17 @@ impl CongestionModel for AnalyticModel<'_> {
     }
 }
 
-/// Full-fidelity pricing backend wrapping the discrete-event [`NetworkSim`].
+/// Full-fidelity pricing backend wrapping the discrete-event
+/// [`NetworkSim`](crate::NetworkSim).
 ///
-/// Each pricing call runs a fresh simulation (the simulator itself is
-/// stateless across runs) over the incremental fair-share allocator. Routes
+/// Each pricing call runs a full simulation over the incremental fair-share
+/// allocator. The simulator's scratch (allocator, per-flow drain state,
+/// link statistics) lives in one workspace the backend reloads on every
+/// call, so after warm-up a call allocates only the returned volume vector;
+/// results are bit-identical to a fresh
+/// [`NetworkSim::run_paths`](crate::NetworkSim::run_paths). Routes
 /// are borrowed — from the flows themselves or from the caller's shared CSR
-/// [`RouteTable`] — so pricing allocates no per-flow route storage. The
+/// [`RouteTable`] — so pricing copies no per-flow route storage. The
 /// returned estimate carries the simulated completion time as `total_time`,
 /// the DES per-link traffic as `link_volume`, and derives
 /// `serialization_time` as `total_time − latency_time` so that existing
@@ -239,12 +245,18 @@ impl CongestionModel for AnalyticModel<'_> {
 #[derive(Debug)]
 pub struct FlowSimBackend<'a> {
     topo: &'a Topology,
+    /// DES scratch reused across calls. Pricing never re-enters the same
+    /// backend, so the borrow is held only for one simulation.
+    workspace: RefCell<DesWorkspace>,
 }
 
 impl<'a> FlowSimBackend<'a> {
     /// Creates a backend simulating over `topo`.
     pub fn new(topo: &'a Topology) -> Self {
-        FlowSimBackend { topo }
+        FlowSimBackend {
+            topo,
+            workspace: RefCell::new(DesWorkspace::new(topo)),
+        }
     }
 
     /// Shared estimate assembly for both pricing entry points:
@@ -253,8 +265,12 @@ impl<'a> FlowSimBackend<'a> {
         &self,
         paths: impl Iterator<Item = (f64, &'r [LinkId])> + Clone,
     ) -> AnalyticEstimate {
-        let result = NetworkSim::new(self.topo)
-            .run_paths(paths.clone().map(|(bytes, links)| (0.0, bytes, links)));
+        let mut ws = self.workspace.borrow_mut();
+        ws.load(
+            self.topo,
+            paths.clone().map(|(bytes, links)| (0.0, bytes, links)),
+        );
+        let total_time = ws.run_incremental();
         let mut latency_time = 0.0_f64;
         let mut total_bytes = 0.0_f64;
         let mut max_hops = 0usize;
@@ -264,10 +280,10 @@ impl<'a> FlowSimBackend<'a> {
             max_hops = max_hops.max(links.len());
         }
         AnalyticEstimate {
-            serialization_time: (result.total_time - latency_time).max(0.0),
-            latency_time: latency_time.min(result.total_time),
-            total_time: result.total_time,
-            link_volume: result.stats.bytes,
+            serialization_time: (total_time - latency_time).max(0.0),
+            latency_time: latency_time.min(total_time),
+            total_time,
+            link_volume: ws.link_bytes().to_vec(),
             total_bytes,
             max_hops,
         }
@@ -412,6 +428,58 @@ impl ScheduleShape {
     }
 }
 
+/// Multiplicative word hasher for [`ScheduleShape`] keys (the FxHash
+/// round: rotate, xor, multiply by a large odd constant).
+///
+/// A key is a few hundred machine words of route links and payload bit
+/// patterns, and every pricing call hashes it once to look it up and once
+/// more on a miss to insert it. SipHash's per-word cost and its protection
+/// against adversarial keys buy nothing here: the keys come from the
+/// simulator itself, and a collision costs only a key comparison, never a
+/// wrong estimate (equality decides a hit).
+#[derive(Copy, Clone, Default)]
+struct ShapeHasher(u64);
+
+impl ShapeHasher {
+    const MUL: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::MUL);
+    }
+}
+
+impl Hasher for ShapeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best-mixed bits at the top, while the map
+        // indexes buckets by the low bits: rotate them down.
+        self.0.rotate_left(26)
+    }
+}
+
+/// The schedule cache: [`ScheduleShape`] keys under [`ShapeHasher`].
+type ShapeMap = HashMap<ScheduleShape, AnalyticEstimate, BuildHasherDefault<ShapeHasher>>;
+
 /// Cache hit/miss counters of a [`CachedBackend`].
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct CacheStats {
@@ -451,7 +519,7 @@ pub struct CacheStats {
 /// ```
 pub struct CachedBackend<'a> {
     inner: Box<dyn CongestionModel + 'a>,
-    cache: RefCell<HashMap<ScheduleShape, AnalyticEstimate>>,
+    cache: RefCell<ShapeMap>,
     /// Entry bound: each entry holds an `O(num_links)` volume vector plus
     /// its key, so an unbounded map would grow linearly on workloads whose
     /// shapes never repeat (e.g. sampled gating varying every iteration).
@@ -483,7 +551,7 @@ impl<'a> CachedBackend<'a> {
         assert!(max_entries > 0, "cache must hold at least one entry");
         CachedBackend {
             inner,
-            cache: RefCell::new(HashMap::new()),
+            cache: RefCell::new(ShapeMap::default()),
             max_entries,
             hits: Cell::new(0),
             misses: Cell::new(0),
@@ -506,6 +574,10 @@ impl<'a> CachedBackend<'a> {
     }
 
     /// Looks up `shape`, running `compute` on a miss.
+    ///
+    /// The cache borrow is released before `compute` runs: a schedule
+    /// miss composes its phases through this backend's own `price_flows`,
+    /// which borrows the cache again.
     fn memoize(
         &self,
         shape: ScheduleShape,
@@ -581,6 +653,7 @@ impl CongestionModel for CachedBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NetworkSim;
     use wsc_topology::{Mesh, PlatformParams};
 
     fn mesh(n: u16) -> Topology {
@@ -818,6 +891,152 @@ mod tests {
             uncached.price_pairs(&table, &pairs),
             cached.price_pairs(&table, &pairs)
         );
+    }
+
+    /// What a backend built for one call returns: a fresh
+    /// `NetworkSim::run_paths` plus the backend's estimate assembly.
+    fn fresh_estimate(topo: &Topology, flows: &[FlowSpec]) -> AnalyticEstimate {
+        let result =
+            NetworkSim::new(topo).run_paths(flows.iter().map(|f| (0.0, f.bytes, f.route.links())));
+        let mut latency_time = 0.0_f64;
+        let mut total_bytes = 0.0_f64;
+        let mut max_hops = 0usize;
+        for f in flows {
+            latency_time = latency_time.max(topo.path_latency(f.route.links()));
+            total_bytes += f.bytes;
+            max_hops = max_hops.max(f.route.links().len());
+        }
+        AnalyticEstimate {
+            serialization_time: (result.total_time - latency_time).max(0.0),
+            latency_time: latency_time.min(result.total_time),
+            total_time: result.total_time,
+            link_volume: result.stats.bytes,
+            total_bytes,
+            max_hops,
+        }
+    }
+
+    /// Bitwise equality on every estimate field (`==` on floats would let
+    /// `-0.0` pass for `0.0`).
+    fn assert_bitwise(got: &AnalyticEstimate, want: &AnalyticEstimate, what: &str) {
+        let bits = |e: &AnalyticEstimate| {
+            (
+                e.serialization_time.to_bits(),
+                e.latency_time.to_bits(),
+                e.total_time.to_bits(),
+                e.total_bytes.to_bits(),
+                e.max_hops,
+                e.link_volume
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>(),
+            )
+        };
+        assert_eq!(bits(got), bits(want), "{what}");
+    }
+
+    /// Every device sends to every other, payloads varying with the pair:
+    /// one contended component with many events.
+    fn all_to_all(topo: &Topology, scale: f64) -> Vec<FlowSpec> {
+        let devices: Vec<DeviceId> = topo.devices().collect();
+        let mut flows = Vec::new();
+        for (i, &src) in devices.iter().enumerate() {
+            for (j, &dst) in devices.iter().enumerate() {
+                if i != j {
+                    let bytes = scale * (1 + (i * 7 + j * 3) % 5) as f64;
+                    flows.push(FlowSpec::new(topo.route(src, dst), bytes));
+                }
+            }
+        }
+        flows
+    }
+
+    /// A reused workspace carries nothing from one call into the next: a
+    /// large, a small, an empty, the same large and a perturbed large flow
+    /// set, priced on one plain and one cached backend per mesh, each equal
+    /// bit for bit to a fresh simulation.
+    #[test]
+    fn reused_workspace_prices_like_a_fresh_simulation() {
+        for n in [4, 6] {
+            let topo = mesh(n);
+            let a = topo.device_at_xy(0, 0).unwrap();
+            let b = topo.device_at_xy(1, 0).unwrap();
+            let c = topo.device_at_xy(2, 1).unwrap();
+            let small = vec![
+                FlowSpec::new(topo.route(a, b), 3.0e6),
+                FlowSpec::new(topo.route(a, c), 1.0e6),
+                FlowSpec::new(topo.route(c, c), 2.0e6),
+            ];
+            let sequence = [
+                all_to_all(&topo, 1.0e6),
+                small,
+                Vec::new(),
+                all_to_all(&topo, 1.0e6),
+                all_to_all(&topo, 0.7e6),
+            ];
+            let plain = FlowSimBackend::new(&topo);
+            let cached = CachedBackend::new(Box::new(FlowSimBackend::new(&topo)));
+            for (call, flows) in sequence.iter().enumerate() {
+                let fresh = fresh_estimate(&topo, flows);
+                let what = format!("{n}x{n} call {call}");
+                assert_bitwise(&plain.price_flows(flows), &fresh, &what);
+                assert_bitwise(&cached.price_flows(flows), &fresh, &what);
+            }
+            // The identical large set hit; every other call simulated.
+            assert_eq!(
+                (cached.cache_stats().hits, cached.cache_stats().misses),
+                (1, 4)
+            );
+        }
+    }
+
+    /// The transfer-pair path reuses the same workspace: route-table
+    /// pricing after a large flow set matches a fresh simulation.
+    #[test]
+    fn reused_workspace_prices_pairs_like_a_fresh_simulation() {
+        let topo = mesh(4);
+        let table = RouteTable::build(&topo);
+        let plain = FlowSimBackend::new(&topo);
+        plain.price_flows(&all_to_all(&topo, 2.0e6));
+        let devices: Vec<DeviceId> = topo.devices().collect();
+        let pairs: Vec<(DeviceId, DeviceId, f64)> = devices
+            .iter()
+            .zip(devices.iter().rev())
+            .map(|(&s, &d)| (s, d, 1.5e6))
+            .collect();
+        let flows: Vec<FlowSpec> = pairs
+            .iter()
+            .map(|&(s, d, bytes)| FlowSpec::new(table.route(s, d).to_route(), bytes))
+            .collect();
+        assert_bitwise(
+            &plain.price_pairs(&table, &pairs),
+            &fresh_estimate(&topo, &flows),
+            "pairs after a large flow set",
+        );
+    }
+
+    /// A cached schedule miss composes its phases through the cache's own
+    /// `price_flows`, which must not find the cache still borrowed. The
+    /// composed estimate equals the uncached composition bit for bit, cold
+    /// and replayed.
+    #[test]
+    fn cached_schedule_miss_reenters_the_cache() {
+        let topo = mesh(4);
+        let a = topo.device_at_xy(0, 0).unwrap();
+        let b = topo.device_at_xy(3, 1).unwrap();
+        let mut sched = FlowSchedule::new();
+        sched.push_phase("a2a", all_to_all(&topo, 1.0e6));
+        sched.push_phase("empty", Vec::new());
+        sched.push_phase("one", vec![FlowSpec::new(topo.route(a, b), 4.0e6)]);
+        sched.push_phase("a2a again", all_to_all(&topo, 1.0e6));
+        let plain = FlowSimBackend::new(&topo).price_schedule(&sched);
+        let cached = CachedBackend::new(Box::new(FlowSimBackend::new(&topo)));
+        assert_bitwise(&cached.price_schedule(&sched), &plain, "cold");
+        assert_bitwise(&cached.price_schedule(&sched), &plain, "replayed");
+        // Two distinct phases simulated, the repeated phase and the whole
+        // schedule replayed.
+        let stats = cached.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 3, 3));
     }
 
     #[test]

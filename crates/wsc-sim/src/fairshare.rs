@@ -238,6 +238,32 @@ impl IncrementalMaxMin {
         }
     }
 
+    /// Drops every registered flow but keeps the link capacities and the
+    /// capacity of every internal buffer, so a simulator pricing many small
+    /// flow sets reuses one allocator instead of building a fresh one per
+    /// run. Afterwards the allocator behaves exactly like
+    /// [`IncrementalMaxMin::new`] over the same capacities: flow ids restart
+    /// at 0.
+    pub fn clear_flows(&mut self) {
+        self.route_offsets.truncate(1);
+        self.route_links.clear();
+        self.active.clear();
+        self.enlisted.clear();
+        self.unlist_queue.clear();
+        self.rates.clear();
+        for list in &mut self.flows_on_link {
+            list.clear();
+        }
+        for l in self.dirty.drain(..) {
+            self.dirty_mark[l as usize] = false;
+        }
+        self.flow_seen.clear();
+        self.flow_fixed.clear();
+        self.comp_links.clear();
+        self.comp_flows.clear();
+        self.heap.clear();
+    }
+
     /// Number of links the allocator prices.
     pub fn num_links(&self) -> usize {
         self.capacity.len()
@@ -579,6 +605,50 @@ mod tests {
             &[vec![0, 1], vec![1, 2], vec![0, 2], vec![0], vec![2]],
             &[4.0, 2.0, 6.0],
         );
+    }
+
+    /// One allocator reused through `clear_flows` — including after
+    /// leaving dirty links, queued purges and active flows behind — prices
+    /// every instance exactly like a fresh allocator and the oracle.
+    #[test]
+    fn cleared_allocator_matches_fresh_and_oracle() {
+        let capacity = [4.0, 2.0, 6.0, 10.0];
+        let instances: [&[&[u32]]; 4] = [
+            &[&[0, 1], &[1, 2], &[0, 2], &[0], &[2], &[3, 1], &[3]],
+            &[&[2]],
+            &[],
+            &[&[0, 1, 2], &[0], &[1], &[2], &[3, 0], &[3, 2], &[1, 3]],
+        ];
+        let rates_of = |alloc: &mut IncrementalMaxMin, routes: &[&[u32]]| {
+            let ids: Vec<u32> = routes.iter().map(|r| alloc.register(r)).collect();
+            for &id in &ids {
+                alloc.activate(id);
+            }
+            alloc.rebalance();
+            ids.iter().map(|&id| alloc.rate(id)).collect::<Vec<f64>>()
+        };
+        let mut reused = IncrementalMaxMin::new(capacity.to_vec());
+        for (round, routes) in instances.iter().enumerate() {
+            reused.clear_flows();
+            let got = rates_of(&mut reused, routes);
+            let fresh = rates_of(&mut IncrementalMaxMin::new(capacity.to_vec()), routes);
+            let oracle_routes: Vec<Vec<usize>> = routes
+                .iter()
+                .map(|r| r.iter().map(|&l| l as usize).collect())
+                .collect();
+            let oracle = max_min_rates(&oracle_routes, &capacity);
+            let bits = |v: &[f64]| v.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&fresh), "round {round} vs fresh");
+            assert_eq!(got, oracle, "round {round} vs oracle");
+            // Leave state behind for the next clear: a deactivation with
+            // its purge still queued, and a new activation not rebalanced.
+            if !routes.is_empty() {
+                reused.deactivate(0);
+                let extra = reused.register(&[3]);
+                reused.activate(extra);
+                assert!(reused.is_dirty());
+            }
+        }
     }
 
     #[test]

@@ -50,11 +50,35 @@ pub struct NetworkSim<'a> {
     reference: bool,
 }
 
-/// Per-run flow bookkeeping shared by both event loops.
-struct FlowTable {
+/// Scratch of one DES run: the fair-share allocator, the per-flow inputs and
+/// drain state, the pending-activation order, and the per-link statistics.
+///
+/// [`NetworkSim`] builds a fresh workspace per run; a pricing backend that
+/// runs many small simulations over one topology keeps a single workspace
+/// and reloads it, so repeated runs allocate nothing once the buffers have
+/// grown to the largest flow set seen. A reloaded workspace computes
+/// exactly what a fresh one does: every buffer is cleared or refilled
+/// before use, and only capacities carry over.
+#[derive(Debug)]
+pub(crate) struct DesWorkspace {
     alloc: IncrementalMaxMin,
     bytes: Vec<f64>,
     activations: Vec<f64>,
+    /// Flow ids by activation time, ties by submission index.
+    pending: Vec<u32>,
+    link_scratch: Vec<u32>,
+    // Per-flow drain state of the incremental loop, settled lazily on rate
+    // changes; `finish[f]` is exact while `f`'s rate is unchanged.
+    remaining: Vec<f64>,
+    cur_rate: Vec<f64>,
+    last_update: Vec<f64>,
+    start_time: Vec<f64>,
+    finish: Vec<f64>,
+    active: Vec<u32>,
+    /// Completion time of each flow of the last run.
+    completion_times: Vec<f64>,
+    /// Per-link traffic of the last run.
+    stats: LinkStats,
 }
 
 impl<'a> NetworkSim<'a> {
@@ -113,72 +137,126 @@ impl<'a> NetworkSim<'a> {
         &mut self,
         flows: impl IntoIterator<Item = (f64, f64, &'r [LinkId])>,
     ) -> RunResult {
-        let capacities: Vec<f64> = self.topo.links().iter().map(|l| l.bandwidth).collect();
-        let mut alloc = IncrementalMaxMin::new(capacities);
-        let mut bytes: Vec<f64> = Vec::new();
-        let mut activations: Vec<f64> = Vec::new();
-        let mut link_scratch: Vec<u32> = Vec::new();
+        let mut ws = DesWorkspace::new(self.topo);
+        ws.load(self.topo, flows);
+        if self.reference {
+            ws.run_reference()
+        } else {
+            ws.run_incremental();
+            ws.into_result()
+        }
+    }
+}
+
+impl DesWorkspace {
+    /// An empty workspace over `topo`'s links.
+    pub(crate) fn new(topo: &Topology) -> Self {
+        let capacities: Vec<f64> = topo.links().iter().map(|l| l.bandwidth).collect();
+        DesWorkspace {
+            alloc: IncrementalMaxMin::new(capacities),
+            bytes: Vec::new(),
+            activations: Vec::new(),
+            pending: Vec::new(),
+            link_scratch: Vec::new(),
+            remaining: Vec::new(),
+            cur_rate: Vec::new(),
+            last_update: Vec::new(),
+            start_time: Vec::new(),
+            finish: Vec::new(),
+            active: Vec::new(),
+            completion_times: Vec::new(),
+            stats: LinkStats::new(topo.num_links()),
+        }
+    }
+
+    /// Replaces the loaded flows with `(submission time, bytes, route
+    /// links)` triples over `topo` (the topology the workspace was built
+    /// for).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any submission time is negative or not finite.
+    pub(crate) fn load<'r>(
+        &mut self,
+        topo: &Topology,
+        flows: impl IntoIterator<Item = (f64, f64, &'r [LinkId])>,
+    ) {
+        self.alloc.clear_flows();
+        self.bytes.clear();
+        self.activations.clear();
         for (start, payload, links) in flows {
             assert!(
                 start.is_finite() && start >= 0.0,
                 "submission time must be non-negative, got {start}"
             );
-            link_scratch.clear();
-            link_scratch.extend(links.iter().map(|l| l.0));
-            alloc.register(&link_scratch);
-            bytes.push(payload);
-            activations.push(start + self.topo.path_latency(links));
+            self.link_scratch.clear();
+            self.link_scratch.extend(links.iter().map(|l| l.0));
+            self.alloc.register(&self.link_scratch);
+            self.bytes.push(payload);
+            self.activations.push(start + topo.path_latency(links));
         }
-        let table = FlowTable {
+    }
+
+    /// Per-link bytes carried in the last run.
+    pub(crate) fn link_bytes(&self) -> &[f64] {
+        &self.stats.bytes
+    }
+
+    /// Sorts the loaded flows into pending-activation order: by activation
+    /// time, ties by submission index. The order is total, so the unstable
+    /// (allocation-free) sort gives the same permutation as a stable one.
+    fn order_pending(&mut self) {
+        let activations = &self.activations;
+        self.pending.clear();
+        self.pending.extend(0..activations.len() as u32);
+        self.pending.sort_unstable_by(|&a, &b| {
+            activations[a as usize]
+                .partial_cmp(&activations[b as usize])
+                .expect("activation times are finite")
+                .then(a.cmp(&b))
+        });
+    }
+
+    /// The incremental event loop over the loaded flows; returns the time
+    /// the last flow completed and leaves the per-flow completion times and
+    /// per-link statistics in the workspace. Rate repricing and drain
+    /// settling touch only the repriced component; the next event comes
+    /// from a linear minimum scan over the per-flow predicted finish times
+    /// (branch-free and allocation-free — cheaper in practice than
+    /// maintaining a heap that large components would flood with stale
+    /// entries).
+    pub(crate) fn run_incremental(&mut self) -> f64 {
+        self.order_pending();
+        let DesWorkspace {
             alloc,
             bytes,
             activations,
-        };
-        if self.reference {
-            self.run_reference(table)
-        } else {
-            self.run_incremental(table)
-        }
-    }
-
-    /// Pending-activation order: by activation time, ties by submission
-    /// index.
-    fn pending_order(activations: &[f64]) -> Vec<u32> {
-        let mut pending: Vec<u32> = (0..activations.len() as u32).collect();
-        pending.sort_by(|&a, &b| {
-            activations[a as usize]
-                .partial_cmp(&activations[b as usize])
-                .unwrap()
-                .then(a.cmp(&b))
-        });
-        pending
-    }
-
-    /// The incremental event loop: rate repricing and drain settling touch
-    /// only the repriced component; the next event comes from a linear
-    /// minimum scan over the per-flow predicted finish times (branch-free
-    /// and allocation-free — cheaper in practice than maintaining a heap
-    /// that large components would flood with stale entries).
-    fn run_incremental(&mut self, table: FlowTable) -> RunResult {
-        let FlowTable {
-            mut alloc,
-            bytes,
-            activations,
-        } = table;
+            pending,
+            link_scratch: _,
+            remaining,
+            cur_rate,
+            last_update,
+            start_time,
+            finish,
+            active,
+            completion_times,
+            stats,
+        } = self;
         let num_flows = bytes.len();
-        let mut stats = LinkStats::new(self.topo.num_links());
-        let mut completion_times = vec![0.0_f64; num_flows];
-        let pending = Self::pending_order(&activations);
+        stats.bytes.fill(0.0);
+        stats.busy_time.fill(0.0);
+        completion_times.clear();
+        completion_times.resize(num_flows, 0.0);
+        remaining.clear();
+        remaining.extend_from_slice(bytes);
+        for v in [&mut *cur_rate, &mut *last_update, &mut *start_time] {
+            v.clear();
+            v.resize(num_flows, 0.0);
+        }
+        finish.clear();
+        finish.resize(num_flows, f64::INFINITY);
+        active.clear();
         let mut next_pending = 0usize;
-
-        // Per-flow drain state, settled lazily on rate changes; `finish[f]`
-        // is exact while `f`'s rate is unchanged.
-        let mut remaining = bytes.clone();
-        let mut cur_rate = vec![0.0_f64; num_flows];
-        let mut last_update = vec![0.0_f64; num_flows];
-        let mut start_time = vec![0.0_f64; num_flows];
-        let mut finish = vec![f64::INFINITY; num_flows];
-        let mut active: Vec<u32> = Vec::new();
 
         let mut now;
         let mut last_completion = 0.0_f64;
@@ -186,7 +264,7 @@ impl<'a> NetworkSim<'a> {
         loop {
             // Next event: the earliest predicted finish or activation.
             let mut horizon = f64::INFINITY;
-            for &f in &active {
+            for &f in active.iter() {
                 horizon = horizon.min(finish[f as usize]);
             }
             let next_act =
@@ -274,25 +352,32 @@ impl<'a> NetworkSim<'a> {
         }
 
         stats.duration = last_completion;
+        last_completion
+    }
+
+    /// Moves the last run's outputs into a [`RunResult`].
+    fn into_result(self) -> RunResult {
         RunResult {
-            total_time: last_completion,
-            completion_times,
-            stats,
+            total_time: self.stats.duration,
+            completion_times: self.completion_times,
+            stats: self.stats,
         }
     }
 
     /// The PR-1 reference loop: full water-filling over freshly cloned
     /// routes, a full horizon scan, and a full per-event drain.
-    fn run_reference(&mut self, table: FlowTable) -> RunResult {
-        let FlowTable {
+    fn run_reference(&mut self) -> RunResult {
+        self.order_pending();
+        let DesWorkspace {
             alloc,
             bytes,
             activations,
-        } = table;
+            pending,
+            ..
+        } = self;
         let num_flows = bytes.len();
-        let mut stats = LinkStats::new(self.topo.num_links());
+        let mut stats = LinkStats::new(alloc.num_links());
         let mut completion_times = vec![0.0_f64; num_flows];
-        let pending = Self::pending_order(&activations);
         let mut next_pending = 0usize;
         let capacities = alloc.capacities().to_vec();
 

@@ -157,6 +157,35 @@ fn malformed_scenarios_fail_with_typed_errors() {
     // And an impossible mapping is a typed mapping error.
     let spec = ScenarioSpec::new("bad-tp", PlatformSpec::wsc(4)).with_mapping(MappingSpec::er(5));
     assert!(matches!(spec.build(), Err(ConfigError::Mapping(_))));
+    // A replica count past the ceiling is rejected at parse time, before
+    // any per-replica table is sized from it (2^32 used to abort on a
+    // 32 GiB allocation), and so is a scale-up that crosses it.
+    let text = std::fs::read_to_string(scenarios_dir().join("chaos_fleet.json")).unwrap();
+    let huge = text.replace("\"replicas\": 64,", "\"replicas\": 4294967296,");
+    assert_ne!(huge, text);
+    assert_eq!(
+        ScenarioSpec::from_json_text(&huge).unwrap_err(),
+        ConfigError::TooManyReplicas {
+            replicas: 4_294_967_298,
+            max: moentwine::core::fleet::MAX_REPLICAS,
+        }
+    );
+    let surge = text.replace("\"count\": 2", "\"count\": 65500");
+    assert_ne!(surge, text);
+    assert!(matches!(
+        ScenarioSpec::from_json_text(&surge),
+        Err(ConfigError::TooManyReplicas {
+            replicas: 65_564,
+            ..
+        })
+    ));
+    // A sweep axis that rewrites `replicas` is re-checked at build.
+    let mut spec = ScenarioSpec::from_json_text(&text).unwrap();
+    spec.fleet.as_mut().unwrap().replicas = usize::MAX;
+    assert!(matches!(
+        spec.build(),
+        Err(ConfigError::TooManyReplicas { .. })
+    ));
 }
 
 /// A subnormal `request_rate` passes the finite-positive check, but its
@@ -186,6 +215,65 @@ fn subnormal_request_rate_is_a_typed_error_not_a_hang() {
                     if value == 1e-320
             ),
             "{file}: {result:?}"
+        );
+    }
+}
+
+/// A subnormal diurnal `period` passes the positive-and-finite check, but
+/// `t / period` overflows and the instantaneous rate turns NaN, so the
+/// thinning sampler rejects every candidate. It must be a typed error. The
+/// run happens on a worker thread so a regression fails here instead of
+/// hanging the suite.
+#[test]
+fn subnormal_diurnal_period_is_a_typed_error_not_a_hang() {
+    let text = std::fs::read_to_string(scenarios_dir().join("bursty_tenants.json")).unwrap();
+    let start = text.find("\"arrivals\": {").expect("arrivals object");
+    let end = start + text[start..].find('}').expect("arrivals end") + 1;
+    let text = format!(
+        "{}\"arrivals\": {{\"kind\": \"diurnal\", \"amplitude\": 0.3, \"period\": 1e-320}}{}",
+        &text[..start],
+        &text[end..]
+    );
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let result = ScenarioSpec::from_json_text(&text)
+            .and_then(|spec| spec.with_iterations(20).build())
+            .and_then(|s| s.run())
+            .map(|_| ());
+        let _ = tx.send(result);
+    });
+    let result = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("subnormal diurnal period hung");
+    assert!(
+        matches!(
+            result,
+            Err(ConfigError::Workload(WorkloadError::UnderflowingPeriod { value }))
+                if value == 1e-320
+        ),
+        "{result:?}"
+    );
+}
+
+/// A serving `iteration_period` that is not positive, finite and
+/// reciprocal-finite is a typed error at build, not a panic in the
+/// scheduler constructor.
+#[test]
+fn bad_iteration_period_is_a_typed_error_not_a_panic() {
+    let text = std::fs::read_to_string(scenarios_dir().join("bursty_tenants.json")).unwrap();
+    let needle = "\"iteration_period\": 0.02,";
+    assert!(text.contains(needle));
+    for bad in ["0", "-0.02", "1e-320"] {
+        let edited = text.replace(needle, &format!("\"iteration_period\": {bad},"));
+        let result = ScenarioSpec::from_json_text(&edited).and_then(|spec| spec.build());
+        assert!(
+            matches!(
+                result,
+                Err(ConfigError::IterationPeriodOutOfRange { value })
+                    if value == bad.parse::<f64>().unwrap()
+            ),
+            "{bad}: {:?}",
+            result.err()
         );
     }
 }
