@@ -16,46 +16,6 @@
 
 use std::process::ExitCode;
 
-use moentwine_bench::figs::fleet_sweep;
-use moentwine_bench::json::Value;
-
 fn main() -> ExitCode {
-    let quick = moentwine_bench::quick_from_args();
-    let threads = moentwine_bench::threads_from_args();
-    let report = fleet_sweep::run_with_threads(quick, threads);
-    report.print();
-    if let Err(e) = report.save("results") {
-        eprintln!("warning: could not save report: {e}");
-    }
-
-    // Validate the manifest as written to disk, not the in-memory tree: the
-    // gate must catch serialization problems too.
-    let path = fleet_sweep::MANIFEST_PATH;
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("fleet_sweep: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let manifest = match Value::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("fleet_sweep: {path} is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = fleet_sweep::validate(&manifest) {
-        eprintln!("fleet_sweep: {path} violates {}: {e}", fleet_sweep::SCHEMA);
-        return ExitCode::FAILURE;
-    }
-    let points = manifest
-        .get("points")
-        .and_then(Value::as_array)
-        .map_or(0, <[Value]>::len);
-    eprintln!(
-        "fleet_sweep: {path} OK ({points} points, schema {})",
-        fleet_sweep::SCHEMA
-    );
-    ExitCode::SUCCESS
+    moentwine_bench::figs::fig_main(&moentwine_bench::figs::fleet_sweep::FIG)
 }

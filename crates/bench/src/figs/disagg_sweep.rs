@@ -17,8 +17,6 @@
 //! summaries are asserted equal, so the manifest is byte-identical across
 //! runs, `--threads` settings, and scheduler drives.
 
-use std::fs;
-
 use moe_model::ModelConfig;
 use moe_workload::{RouterPolicy, Scenario, SchedulingMode, WorkloadMix};
 use moentwine_core::comm::ClusterLayout;
@@ -31,6 +29,7 @@ use moentwine_spec::{BatchSpec, EngineSpec, ModelSpec, ServingSpec};
 use crate::json::Value;
 use crate::platforms::Platform;
 use crate::report::fmt_time;
+use crate::summary_json::{fields, FleetField, HandoffField, ServingField, LATENCY_BLOCK};
 use crate::Report;
 
 /// Schema identifier embedded in (and required of) the manifest.
@@ -38,6 +37,15 @@ pub const SCHEMA: &str = "moentwine/disagg_sweep/v1";
 
 /// Manifest output path, relative to the working directory.
 pub const MANIFEST_PATH: &str = "target/figs/disagg_sweep.json";
+
+/// The figure's binary surface (see [`crate::figs::fig_main`]).
+pub const FIG: crate::figs::SweepFig = crate::figs::SweepFig {
+    name: "disagg_sweep",
+    run: run_with_threads,
+    manifest_path: MANIFEST_PATH,
+    schema: SCHEMA,
+    validate,
+};
 
 /// Master seed of the sweep (replica streams are split from it).
 const SEED: u64 = 211;
@@ -181,57 +189,32 @@ fn run_point(platforms: &Platforms, shape: Shape, rate: f64, rounds: usize) -> F
 }
 
 fn point_json(platforms: &Platforms, shape: Shape, rate: f64, s: &FleetSummary) -> Value {
-    let agg = &s.aggregate;
-    let h = &s.handoff;
+    use HandoffField::*;
     let dollars = platforms.dollars(shape);
-    Value::Obj(vec![
+    let mut point = vec![
         ("variant".into(), Value::Str(shape.name().into())),
         ("arrival_rate".into(), Value::Num(rate)),
-        ("ttft_p50".into(), Value::Num(agg.ttft_p50)),
-        ("ttft_p95".into(), Value::Num(agg.ttft_p95)),
-        ("ttft_p99".into(), Value::Num(agg.ttft_p99)),
-        ("tpot_p50".into(), Value::Num(agg.tpot_p50)),
-        ("tpot_p95".into(), Value::Num(agg.tpot_p95)),
-        ("tpot_p99".into(), Value::Num(agg.tpot_p99)),
-        ("e2e_p50".into(), Value::Num(agg.e2e_p50)),
-        ("e2e_p99".into(), Value::Num(agg.e2e_p99)),
-        ("goodput_rps".into(), Value::Num(agg.goodput_rps)),
-        (
-            "goodput_tokens_per_s".into(),
-            Value::Num(agg.goodput_tokens_per_s),
-        ),
-        ("completed".into(), Value::Num(agg.completed as f64)),
-        (
-            "admission_rejects".into(),
-            Value::Num(agg.admission_rejects as f64),
-        ),
-        ("mean_queue_depth".into(), Value::Num(agg.mean_queue_depth)),
-        ("kv_transfers".into(), Value::Num(h.kv_transfers as f64)),
-        ("kv_transfer_bytes".into(), Value::Num(h.kv_transfer_bytes)),
-        (
-            "kv_transfer_seconds".into(),
-            Value::Num(h.kv_transfer_seconds),
-        ),
-        (
-            "handoffs_completed".into(),
-            Value::Num(h.handoffs_completed as f64),
-        ),
-        (
-            "mean_handoff_latency".into(),
-            Value::Num(h.mean_handoff_latency),
-        ),
-        ("mean_e2e_ttft".into(), Value::Num(h.mean_e2e_ttft)),
-        ("hardware_dollars".into(), Value::Num(dollars)),
-        (
-            "goodput_per_megadollar".into(),
-            Value::Num(agg.goodput_rps / (dollars / 1.0e6)),
-        ),
-        (
-            "routed".into(),
-            Value::Arr(s.routed.iter().map(|&r| Value::Num(r as f64)).collect()),
-        ),
-        ("sim_seconds".into(), Value::Num(s.sim_seconds)),
-    ])
+    ];
+    point.extend(fields(&s.aggregate, &LATENCY_BLOCK));
+    point.extend(fields(&s.aggregate, &[ServingField::MeanQueueDepth]));
+    point.extend(fields(
+        &s.handoff,
+        &[
+            KvTransfers,
+            KvTransferBytes,
+            KvTransferSeconds,
+            HandoffsCompleted,
+            MeanHandoffLatency,
+            MeanE2eTtft,
+        ],
+    ));
+    point.push(("hardware_dollars".into(), Value::Num(dollars)));
+    point.push((
+        "goodput_per_megadollar".into(),
+        Value::Num(s.aggregate.goodput_rps / (dollars / 1.0e6)),
+    ));
+    point.extend(fields(s, &[FleetField::Routed, FleetField::SimSeconds]));
+    Value::Obj(point)
 }
 
 /// Builds the sweep manifest over explicit axes on a `threads`-wide worker
@@ -388,12 +371,7 @@ pub fn run_with_threads(quick: bool, threads: usize) -> Report {
         "Goodput/M$",
     ]);
     let manifest = sweep_manifest(quick, &rates, rounds, threads, &mut report);
-    match fs::create_dir_all("target/figs")
-        .and_then(|_| fs::write(MANIFEST_PATH, manifest.pretty()))
-    {
-        Ok(()) => report.note(format!("machine-readable manifest: {MANIFEST_PATH}")),
-        Err(e) => report.note(format!("WARNING: could not write {MANIFEST_PATH}: {e}")),
-    }
+    crate::figs::write_manifest(&mut report, MANIFEST_PATH, &manifest);
     report.note(
         "deterministic: every point runs under both fleet schedulers and \
          asserts bit-identical summaries; grid points merge by index, so \
@@ -471,5 +449,53 @@ mod tests {
             }
         }
         assert!(validate(&manifest).unwrap_err().contains("both"));
+    }
+
+    #[test]
+    fn point_keys_keep_their_order() {
+        use crate::figs::validate::tests::{first_point, keys};
+        let manifest = tiny_manifest_with_threads(1);
+        assert_eq!(
+            keys(&manifest),
+            [
+                "schema",
+                "quick",
+                "seed",
+                "rounds",
+                "wsc_die_dollars",
+                "dgx_gpu_dollars",
+                "points",
+            ]
+        );
+        assert_eq!(
+            keys(first_point(&manifest)),
+            [
+                "variant",
+                "arrival_rate",
+                "ttft_p50",
+                "ttft_p95",
+                "ttft_p99",
+                "tpot_p50",
+                "tpot_p95",
+                "tpot_p99",
+                "e2e_p50",
+                "e2e_p99",
+                "goodput_rps",
+                "goodput_tokens_per_s",
+                "completed",
+                "admission_rejects",
+                "mean_queue_depth",
+                "kv_transfers",
+                "kv_transfer_bytes",
+                "kv_transfer_seconds",
+                "handoffs_completed",
+                "mean_handoff_latency",
+                "mean_e2e_ttft",
+                "hardware_dollars",
+                "goodput_per_megadollar",
+                "routed",
+                "sim_seconds",
+            ]
+        );
     }
 }

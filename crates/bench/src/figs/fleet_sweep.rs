@@ -16,8 +16,6 @@
 //! across runs *and* across `--threads` settings (pinned by a unit test and
 //! the CI smoke step).
 
-use std::fs;
-
 use moe_model::ModelConfig;
 use moe_workload::{RouterPolicy, Scenario, SchedulingMode, WorkloadMix};
 use moentwine_core::engine::{EngineConfig, SummaryMode};
@@ -27,6 +25,7 @@ use moentwine_spec::{BatchSpec, EngineSpec, FleetSpec, ModelSpec, ServingSpec};
 use crate::json::Value;
 use crate::platforms::Platform;
 use crate::report::fmt_time;
+use crate::summary_json::{fields, FleetField, ServingField, LATENCY_BLOCK};
 use crate::Report;
 
 /// Schema identifier embedded in (and required of) the manifest.
@@ -34,6 +33,15 @@ pub const SCHEMA: &str = "moentwine/fleet_sweep/v1";
 
 /// Manifest output path, relative to the working directory.
 pub const MANIFEST_PATH: &str = "target/figs/fleet_sweep.json";
+
+/// The figure's binary surface (see [`crate::figs::fig_main`]).
+pub const FIG: crate::figs::SweepFig = crate::figs::SweepFig {
+    name: "fleet_sweep",
+    run: run_with_threads,
+    manifest_path: MANIFEST_PATH,
+    schema: SCHEMA,
+    validate,
+};
 
 /// Master seed of the sweep (replica streams are split from it).
 const SEED: u64 = 131;
@@ -83,42 +91,22 @@ fn run_point(
     fleet.summary()
 }
 
-fn point_json(replicas: usize, policy: RouterPolicy, rate: f64, s: &FleetSummary) -> Value {
-    let agg = &s.aggregate;
-    Value::Obj(vec![
-        ("replicas".into(), Value::Num(replicas as f64)),
-        ("policy".into(), Value::Str(policy.name())),
-        ("arrival_rate".into(), Value::Num(rate)),
-        ("ttft_p50".into(), Value::Num(agg.ttft_p50)),
-        ("ttft_p95".into(), Value::Num(agg.ttft_p95)),
-        ("ttft_p99".into(), Value::Num(agg.ttft_p99)),
-        ("tpot_p50".into(), Value::Num(agg.tpot_p50)),
-        ("tpot_p95".into(), Value::Num(agg.tpot_p95)),
-        ("tpot_p99".into(), Value::Num(agg.tpot_p99)),
-        ("e2e_p50".into(), Value::Num(agg.e2e_p50)),
-        ("e2e_p99".into(), Value::Num(agg.e2e_p99)),
-        ("goodput_rps".into(), Value::Num(agg.goodput_rps)),
-        (
-            "goodput_tokens_per_s".into(),
-            Value::Num(agg.goodput_tokens_per_s),
-        ),
-        ("completed".into(), Value::Num(agg.completed as f64)),
-        (
-            "admission_rejects".into(),
-            Value::Num(agg.admission_rejects as f64),
-        ),
-        ("mean_queue_depth".into(), Value::Num(agg.mean_queue_depth)),
-        ("routing_imbalance".into(), Value::Num(s.routing_imbalance)),
-        (
-            "completion_imbalance".into(),
-            Value::Num(s.completion_imbalance),
-        ),
-        (
-            "routed".into(),
-            Value::Arr(s.routed.iter().map(|&r| Value::Num(r as f64)).collect()),
-        ),
-        ("sim_seconds".into(), Value::Num(s.sim_seconds)),
-    ])
+fn point_json(policy: RouterPolicy, rate: f64, s: &FleetSummary) -> Value {
+    let mut point = fields(s, &[FleetField::Replicas]);
+    point.push(("policy".into(), Value::Str(policy.name())));
+    point.push(("arrival_rate".into(), Value::Num(rate)));
+    point.extend(fields(&s.aggregate, &LATENCY_BLOCK));
+    point.extend(fields(
+        s,
+        &[
+            FleetField::Aggregate(ServingField::MeanQueueDepth),
+            FleetField::RoutingImbalance,
+            FleetField::CompletionImbalance,
+            FleetField::Routed,
+            FleetField::SimSeconds,
+        ],
+    ));
+    Value::Obj(point)
 }
 
 /// Builds the sweep manifest over explicit axes on a `threads`-wide worker
@@ -168,7 +156,7 @@ fn sweep_manifest(
             format!("{}", agg.admission_rejects),
             format!("{:.3}", s.completion_imbalance),
         ]);
-        points.push(point_json(replicas, policy, rate, s));
+        points.push(point_json(policy, rate, s));
     }
     Value::Obj(vec![
         ("schema".into(), Value::Str(SCHEMA.into())),
@@ -277,12 +265,7 @@ pub fn run_with_threads(quick: bool, threads: usize) -> Report {
         threads,
         &mut report,
     );
-    match fs::create_dir_all("target/figs")
-        .and_then(|_| fs::write(MANIFEST_PATH, manifest.pretty()))
-    {
-        Ok(()) => report.note(format!("machine-readable manifest: {MANIFEST_PATH}")),
-        Err(e) => report.note(format!("WARNING: could not write {MANIFEST_PATH}: {e}")),
-    }
+    crate::figs::write_manifest(&mut report, MANIFEST_PATH, &manifest);
     report.note(
         "deterministic: grid points merge by index, so the manifest is \
          byte-identical across runs and --threads settings \
@@ -359,5 +342,40 @@ mod tests {
             }
         }
         assert!(validate(&manifest).is_err());
+    }
+
+    #[test]
+    fn point_keys_keep_their_order() {
+        use crate::figs::validate::tests::{first_point, keys};
+        let manifest = tiny_manifest_with_threads(1);
+        assert_eq!(
+            keys(&manifest),
+            ["schema", "quick", "seed", "rounds", "points"]
+        );
+        assert_eq!(
+            keys(first_point(&manifest)),
+            [
+                "replicas",
+                "policy",
+                "arrival_rate",
+                "ttft_p50",
+                "ttft_p95",
+                "ttft_p99",
+                "tpot_p50",
+                "tpot_p95",
+                "tpot_p99",
+                "e2e_p50",
+                "e2e_p99",
+                "goodput_rps",
+                "goodput_tokens_per_s",
+                "completed",
+                "admission_rejects",
+                "mean_queue_depth",
+                "routing_imbalance",
+                "completion_imbalance",
+                "routed",
+                "sim_seconds",
+            ]
+        );
     }
 }

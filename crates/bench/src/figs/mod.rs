@@ -24,6 +24,11 @@ pub mod table1;
 pub mod validate;
 pub mod workload_mix;
 
+use std::fs;
+use std::path::Path;
+use std::process::ExitCode;
+
+use crate::json::Value;
 use crate::Report;
 
 /// An experiment entry point.
@@ -61,4 +66,71 @@ pub fn all() -> Vec<(&'static str, Runner)> {
         // dispatch (emits target/figs/router_compare.json).
         ("router_compare", router_compare::run),
     ]
+}
+
+/// A sweep figure's binary surface: the figure writes a machine-readable
+/// manifest next to its report, and its bin gates on that manifest.
+#[derive(Copy, Clone)]
+pub struct SweepFig {
+    /// Figure id: the bin name and the prefix of its stderr lines.
+    pub name: &'static str,
+    /// Runs the sweep over `(quick, threads)` and writes the manifest.
+    pub run: fn(bool, usize) -> Report,
+    /// Manifest output path, relative to the working directory.
+    pub manifest_path: &'static str,
+    /// Schema identifier the manifest carries.
+    pub schema: &'static str,
+    /// Checks a parsed manifest against [`SweepFig::schema`].
+    pub validate: fn(&Value) -> Result<(), String>,
+}
+
+/// Writes a sweep manifest to `path` and notes where it went (or why it
+/// could not be written) on the report.
+pub fn write_manifest(report: &mut Report, path: &str, manifest: &Value) {
+    let dir = Path::new(path).parent().unwrap_or(Path::new("."));
+    match fs::create_dir_all(dir).and_then(|()| fs::write(path, manifest.pretty())) {
+        Ok(()) => report.note(format!("machine-readable manifest: {path}")),
+        Err(e) => report.note(format!("WARNING: could not write {path}: {e}")),
+    }
+}
+
+/// The `main` of every sweep bin: parses `--quick` and `--threads`, runs
+/// the figure, prints the report and saves it under `results/`, then
+/// re-reads the manifest from disk and validates it. Exits non-zero when
+/// the manifest is missing, malformed, or violates its schema (the CI
+/// smoke gate).
+pub fn fig_main(fig: &SweepFig) -> ExitCode {
+    let quick = crate::quick_from_args();
+    let threads = crate::threads_from_args();
+    let report = (fig.run)(quick, threads);
+    report.print();
+    if let Err(e) = report.save("results") {
+        eprintln!("warning: could not save report: {e}");
+    }
+    match check_written_manifest(fig) {
+        Ok(points) => {
+            eprintln!(
+                "{}: {} OK ({points} points, schema {})",
+                fig.name, fig.manifest_path, fig.schema
+            );
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("{}: {e}", fig.name);
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Validates the manifest as written to disk, not the in-memory tree, so
+/// the gate catches serialization problems too. Returns the point count.
+fn check_written_manifest(fig: &SweepFig) -> Result<usize, String> {
+    let path = fig.manifest_path;
+    let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let manifest = Value::parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))?;
+    (fig.validate)(&manifest).map_err(|e| format!("{path} violates {}: {e}", fig.schema))?;
+    Ok(manifest
+        .get("points")
+        .and_then(Value::as_array)
+        .map_or(0, <[Value]>::len))
 }

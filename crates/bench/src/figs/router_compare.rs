@@ -25,8 +25,6 @@
 //! TTFT. Everything is seeded and grid points merge by index, so the
 //! manifest is byte-identical across runs *and* `--threads` settings.
 
-use std::fs;
-
 use moe_model::ModelConfig;
 use moe_workload::{RouterPolicy, Scenario, SchedulingMode};
 use moentwine_core::comm::ClusterLayout;
@@ -40,6 +38,7 @@ use wsc_sim::CongestionBackend;
 use crate::json::Value;
 use crate::platforms::Platform;
 use crate::report::fmt_time;
+use crate::summary_json::{fields, FleetField, ServingField, SpeculativeField, LATENCY_BLOCK};
 use crate::Report;
 
 /// Schema identifier embedded in (and required of) the manifest.
@@ -47,6 +46,15 @@ pub const SCHEMA: &str = "moentwine/router_compare/v1";
 
 /// Manifest output path, relative to the working directory.
 pub const MANIFEST_PATH: &str = "target/figs/router_compare.json";
+
+/// The figure's binary surface (see [`crate::figs::fig_main`]).
+pub const FIG: crate::figs::SweepFig = crate::figs::SweepFig {
+    name: "router_compare",
+    run: run_with_threads,
+    manifest_path: MANIFEST_PATH,
+    schema: SCHEMA,
+    validate,
+};
 
 /// Master seed of the sweep (replica streams are split from it).
 const SEED: u64 = 223;
@@ -132,14 +140,14 @@ impl Platforms {
 }
 
 /// Runs one sweep point: a fleet of `shape` dispatched by `policy` at
-/// `rate`, returning the summary plus the replica count used.
+/// `rate`.
 fn run_point(
     platforms: &Platforms,
     shape: Shape,
     policy: RouterPolicy,
     rate: f64,
     rounds: usize,
-) -> (usize, FleetSummary) {
+) -> FleetSummary {
     let Platforms {
         wsc,
         plan,
@@ -185,61 +193,33 @@ fn run_point(
         }
     };
     fleet.run(rounds);
-    let replicas = fleet.engines().len();
-    (replicas, fleet.summary())
+    fleet.summary()
 }
 
-fn point_json(
-    shape: Shape,
-    policy: RouterPolicy,
-    rate: f64,
-    replicas: usize,
-    s: &FleetSummary,
-) -> Value {
-    let agg = &s.aggregate;
-    Value::Obj(vec![
+fn point_json(shape: Shape, policy: RouterPolicy, rate: f64, s: &FleetSummary) -> Value {
+    let mut point = vec![
         ("workload".into(), Value::Str(shape.name().into())),
         ("policy".into(), Value::Str(policy.name())),
-        ("replicas".into(), Value::Num(replicas as f64)),
-        ("arrival_rate".into(), Value::Num(rate)),
-        ("ttft_p50".into(), Value::Num(agg.ttft_p50)),
-        ("ttft_p95".into(), Value::Num(agg.ttft_p95)),
-        ("ttft_p99".into(), Value::Num(agg.ttft_p99)),
-        ("tpot_p50".into(), Value::Num(agg.tpot_p50)),
-        ("tpot_p95".into(), Value::Num(agg.tpot_p95)),
-        ("tpot_p99".into(), Value::Num(agg.tpot_p99)),
-        ("e2e_p50".into(), Value::Num(agg.e2e_p50)),
-        ("e2e_p99".into(), Value::Num(agg.e2e_p99)),
-        ("goodput_rps".into(), Value::Num(agg.goodput_rps)),
-        (
-            "goodput_tokens_per_s".into(),
-            Value::Num(agg.goodput_tokens_per_s),
-        ),
-        ("completed".into(), Value::Num(agg.completed as f64)),
-        (
-            "admission_rejects".into(),
-            Value::Num(agg.admission_rejects as f64),
-        ),
-        ("shed".into(), Value::Num(agg.shed as f64)),
-        (
-            "router_discarded".into(),
-            Value::Num((s.router_discarded[0] + s.router_discarded[1]) as f64),
-        ),
-        (
-            "spec_groups_dispatched".into(),
-            Value::Num(s.speculative.groups_dispatched as f64),
-        ),
-        (
-            "spec_cancelled_copies".into(),
-            Value::Num(s.speculative.cancelled_copies as f64),
-        ),
-        ("routing_imbalance".into(), Value::Num(s.routing_imbalance)),
-        (
-            "completion_imbalance".into(),
-            Value::Num(s.completion_imbalance),
-        ),
-        ("sim_seconds".into(), Value::Num(s.sim_seconds)),
-    ])
+    ];
+    point.extend(fields(s, &[FleetField::Replicas]));
+    point.push(("arrival_rate".into(), Value::Num(rate)));
+    point.extend(fields(&s.aggregate, &LATENCY_BLOCK));
+    point.extend(fields(&s.aggregate, &[ServingField::Shed]));
+    point.push((
+        "router_discarded".into(),
+        Value::Num((s.router_discarded[0] + s.router_discarded[1]) as f64),
+    ));
+    point.extend(fields(
+        s,
+        &[
+            FleetField::Speculative(SpeculativeField::GroupsDispatched),
+            FleetField::Speculative(SpeculativeField::CancelledCopies),
+            FleetField::RoutingImbalance,
+            FleetField::CompletionImbalance,
+            FleetField::SimSeconds,
+        ],
+    ));
+    Value::Obj(point)
 }
 
 /// Builds the sweep manifest over explicit axes on a `threads`-wide worker
@@ -273,7 +253,7 @@ fn sweep_manifest(
         .collect();
     let summaries = pool.run(jobs);
     let mut points: Vec<Value> = Vec::new();
-    for (&(shape, policy, rate), (replicas, s)) in grid.iter().zip(&summaries) {
+    for (&(shape, policy, rate), s) in grid.iter().zip(&summaries) {
         let agg = &s.aggregate;
         report.row([
             shape.name().into(),
@@ -287,7 +267,7 @@ fn sweep_manifest(
             format!("{}", s.speculative.cancelled_copies),
             format!("{}", s.router_discarded[0] + s.router_discarded[1]),
         ]);
-        points.push(point_json(shape, policy, rate, *replicas, s));
+        points.push(point_json(shape, policy, rate, s));
     }
     Value::Obj(vec![
         ("schema".into(), Value::Str(SCHEMA.into())),
@@ -436,12 +416,7 @@ pub fn run_with_threads(quick: bool, threads: usize) -> Report {
         threads,
         &mut report,
     );
-    match fs::create_dir_all("target/figs")
-        .and_then(|_| fs::write(MANIFEST_PATH, manifest.pretty()))
-    {
-        Ok(()) => report.note(format!("machine-readable manifest: {MANIFEST_PATH}")),
-        Err(e) => report.note(format!("WARNING: could not write {MANIFEST_PATH}: {e}")),
-    }
+    crate::figs::write_manifest(&mut report, MANIFEST_PATH, &manifest);
     report.note(
         "deterministic: grid points merge by index, so the manifest is \
          byte-identical across runs and --threads settings \
@@ -535,5 +510,43 @@ mod tests {
         }
         let err = validate(&manifest).unwrap_err();
         assert!(err.contains("p99 TTFT"), "{err}");
+    }
+
+    #[test]
+    fn point_keys_keep_their_order() {
+        use crate::figs::validate::tests::{first_point, keys};
+        let manifest = tiny_manifest_with_threads(1);
+        assert_eq!(
+            keys(&manifest),
+            ["schema", "quick", "seed", "rounds", "points"]
+        );
+        assert_eq!(
+            keys(first_point(&manifest)),
+            [
+                "workload",
+                "policy",
+                "replicas",
+                "arrival_rate",
+                "ttft_p50",
+                "ttft_p95",
+                "ttft_p99",
+                "tpot_p50",
+                "tpot_p95",
+                "tpot_p99",
+                "e2e_p50",
+                "e2e_p99",
+                "goodput_rps",
+                "goodput_tokens_per_s",
+                "completed",
+                "admission_rejects",
+                "shed",
+                "router_discarded",
+                "spec_groups_dispatched",
+                "spec_cancelled_copies",
+                "routing_imbalance",
+                "completion_imbalance",
+                "sim_seconds",
+            ]
+        );
     }
 }

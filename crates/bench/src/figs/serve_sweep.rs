@@ -11,8 +11,6 @@
 //! Everything is seeded: the same seed reproduces a byte-identical
 //! manifest across runs (pinned by a unit test and the CI smoke step).
 
-use std::fs;
-
 use moe_model::ModelConfig;
 use moe_workload::{Scenario, WorkloadMix};
 use moentwine_core::engine::{InferenceEngine, ServingSummary};
@@ -22,6 +20,7 @@ use wsc_sim::CongestionBackend;
 use crate::json::Value;
 use crate::platforms::Platform;
 use crate::report::fmt_time;
+use crate::summary_json::{fields, ServingField, LATENCY_BLOCK};
 use crate::Report;
 
 /// Schema identifier embedded in (and required of) the manifest.
@@ -29,6 +28,15 @@ pub const SCHEMA: &str = "moentwine/serve_sweep/v1";
 
 /// Manifest output path, relative to the working directory.
 pub const MANIFEST_PATH: &str = "target/figs/serve_sweep.json";
+
+/// The figure's binary surface (see [`crate::figs::fig_main`]).
+pub const FIG: crate::figs::SweepFig = crate::figs::SweepFig {
+    name: "serve_sweep",
+    run: run_with_threads,
+    manifest_path: MANIFEST_PATH,
+    schema: SCHEMA,
+    validate,
+};
 
 /// Master seed of the sweep (every engine run derives from it).
 const SEED: u64 = 97;
@@ -97,31 +105,17 @@ fn run_point(
 }
 
 fn point_json(rate: f64, mix_name: &str, backend: CongestionBackend, s: &ServingSummary) -> Value {
-    Value::Obj(vec![
+    let mut point = vec![
         ("arrival_rate".into(), Value::Num(rate)),
         ("mix".into(), Value::Str(mix_name.into())),
         ("backend".into(), Value::Str(backend.name().into())),
-        ("ttft_p50".into(), Value::Num(s.ttft_p50)),
-        ("ttft_p95".into(), Value::Num(s.ttft_p95)),
-        ("ttft_p99".into(), Value::Num(s.ttft_p99)),
-        ("tpot_p50".into(), Value::Num(s.tpot_p50)),
-        ("tpot_p95".into(), Value::Num(s.tpot_p95)),
-        ("tpot_p99".into(), Value::Num(s.tpot_p99)),
-        ("e2e_p50".into(), Value::Num(s.e2e_p50)),
-        ("e2e_p99".into(), Value::Num(s.e2e_p99)),
-        ("goodput_rps".into(), Value::Num(s.goodput_rps)),
-        (
-            "goodput_tokens_per_s".into(),
-            Value::Num(s.goodput_tokens_per_s),
-        ),
-        ("completed".into(), Value::Num(s.completed as f64)),
-        (
-            "admission_rejects".into(),
-            Value::Num(s.admission_rejects as f64),
-        ),
-        ("mean_queue_depth".into(), Value::Num(s.mean_queue_depth)),
-        ("sim_seconds".into(), Value::Num(s.sim_seconds)),
-    ])
+    ];
+    point.extend(fields(s, &LATENCY_BLOCK));
+    point.extend(fields(
+        s,
+        &[ServingField::MeanQueueDepth, ServingField::SimSeconds],
+    ));
+    Value::Obj(point)
 }
 
 /// Builds the sweep manifest over explicit axes (the unit tests use a
@@ -266,12 +260,7 @@ pub fn run_with_threads(quick: bool, threads: usize) -> Report {
         threads,
         &mut report,
     );
-    match fs::create_dir_all("target/figs")
-        .and_then(|_| fs::write(MANIFEST_PATH, manifest.pretty()))
-    {
-        Ok(()) => report.note(format!("machine-readable manifest: {MANIFEST_PATH}")),
-        Err(e) => report.note(format!("WARNING: could not write {MANIFEST_PATH}: {e}")),
-    }
+    crate::figs::write_manifest(&mut report, MANIFEST_PATH, &manifest);
     report.note(
         "deterministic: the same seed reproduces a byte-identical manifest \
          (schema moentwine/serve_sweep/v1)",
@@ -341,5 +330,37 @@ mod tests {
             }
         }
         assert!(validate(&manifest).unwrap_err().contains("empty points"));
+    }
+
+    #[test]
+    fn point_keys_keep_their_order() {
+        use crate::figs::validate::tests::{first_point, keys};
+        let (manifest, _) = tiny_manifest();
+        assert_eq!(
+            keys(&manifest),
+            ["schema", "quick", "seed", "iterations", "points"]
+        );
+        assert_eq!(
+            keys(first_point(&manifest)),
+            [
+                "arrival_rate",
+                "mix",
+                "backend",
+                "ttft_p50",
+                "ttft_p95",
+                "ttft_p99",
+                "tpot_p50",
+                "tpot_p95",
+                "tpot_p99",
+                "e2e_p50",
+                "e2e_p99",
+                "goodput_rps",
+                "goodput_tokens_per_s",
+                "completed",
+                "admission_rejects",
+                "mean_queue_depth",
+                "sim_seconds",
+            ]
+        );
     }
 }

@@ -117,8 +117,44 @@ pub fn check_point_common(point: &Value, i: usize, extra_nums: &[&str]) -> Resul
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The keys of a JSON object in emission order (empty for a non-object):
+    /// the key-order pin tests compare these against the manifest contract.
+    pub(crate) fn keys(value: &Value) -> Vec<&str> {
+        match value {
+            Value::Obj(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// The pinned key order of one per-class SLO entry (workload-profiled
+    /// runs), shared by the `workload_mix` and scenario-run pin tests.
+    pub(crate) const CLASS_KEYS: [&str; 14] = [
+        "class",
+        "completed",
+        "rejected",
+        "shed",
+        "ttft_p50",
+        "ttft_p95",
+        "ttft_p99",
+        "tpot_p50",
+        "tpot_p95",
+        "tpot_p99",
+        "ttft_slo",
+        "tpot_slo",
+        "ttft_attainment",
+        "tpot_attainment",
+    ];
+
+    /// The first point of a sweep manifest.
+    pub(crate) fn first_point(manifest: &Value) -> &Value {
+        &manifest
+            .get("points")
+            .and_then(Value::as_array)
+            .expect("points")[0]
+    }
 
     fn point(ttft: [f64; 3]) -> Value {
         let mut fields: Vec<(String, Value)> = vec![

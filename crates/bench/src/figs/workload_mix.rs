@@ -16,8 +16,6 @@
 //! seeded and grid points merge by index, so the manifest is byte-identical
 //! across runs *and* across `--threads` settings.
 
-use std::fs;
-
 use moe_workload::ClassSpec;
 use moentwine_core::engine::ServingSummary;
 use moentwine_spec::{
@@ -27,6 +25,7 @@ use moentwine_spec::{
 
 use crate::json::Value;
 use crate::report::fmt_time;
+use crate::summary_json::{fields, ServingField};
 use crate::Report;
 
 /// Schema identifier embedded in (and required of) the manifest.
@@ -34,6 +33,15 @@ pub const SCHEMA: &str = "moentwine/workload_mix/v1";
 
 /// Manifest output path, relative to the working directory.
 pub const MANIFEST_PATH: &str = "target/figs/workload_mix.json";
+
+/// The figure's binary surface (see [`crate::figs::fig_main`]).
+pub const FIG: crate::figs::SweepFig = crate::figs::SweepFig {
+    name: "workload_mix",
+    run: run_with_threads,
+    manifest_path: MANIFEST_PATH,
+    schema: SCHEMA,
+    validate,
+};
 
 /// Master seed of the sweep.
 const SEED: u64 = 173;
@@ -73,56 +81,35 @@ fn mix_spec(interactive_weight: f64, batch_weight: f64, rates: &[f64]) -> Scenar
     .with_sweep(SweepSpec::default().with_rates(rates.to_vec()))
 }
 
-fn class_json(c: &moentwine_core::engine::ClassServingSummary) -> Value {
-    Value::Obj(vec![
-        ("class".into(), Value::Str(c.class.name().into())),
-        ("completed".into(), Value::Num(c.completed as f64)),
-        ("rejected".into(), Value::Num(c.rejected as f64)),
-        ("shed".into(), Value::Num(c.shed as f64)),
-        ("ttft_p50".into(), Value::Num(c.ttft_p50)),
-        ("ttft_p95".into(), Value::Num(c.ttft_p95)),
-        ("ttft_p99".into(), Value::Num(c.ttft_p99)),
-        ("tpot_p50".into(), Value::Num(c.tpot_p50)),
-        ("tpot_p95".into(), Value::Num(c.tpot_p95)),
-        ("tpot_p99".into(), Value::Num(c.tpot_p99)),
-        ("ttft_slo".into(), Value::Num(c.ttft_slo)),
-        ("tpot_slo".into(), Value::Num(c.tpot_slo)),
-        ("ttft_attainment".into(), Value::Num(c.ttft_attainment)),
-        ("tpot_attainment".into(), Value::Num(c.tpot_attainment)),
-    ])
-}
-
 fn point_json(mix: (f64, f64), rate: f64, s: &ServingSummary) -> Value {
-    Value::Obj(vec![
+    use ServingField::*;
+    let mut point = vec![
         ("interactive_weight".into(), Value::Num(mix.0)),
         ("batch_weight".into(), Value::Num(mix.1)),
         ("arrival_rate".into(), Value::Num(rate)),
-        ("completed".into(), Value::Num(s.completed as f64)),
-        (
-            "admission_rejects".into(),
-            Value::Num(s.admission_rejects as f64),
-        ),
-        ("shed".into(), Value::Num(s.shed as f64)),
-        ("ttft_p50".into(), Value::Num(s.ttft_p50)),
-        ("ttft_p95".into(), Value::Num(s.ttft_p95)),
-        ("ttft_p99".into(), Value::Num(s.ttft_p99)),
-        ("tpot_p50".into(), Value::Num(s.tpot_p50)),
-        ("tpot_p95".into(), Value::Num(s.tpot_p95)),
-        ("tpot_p99".into(), Value::Num(s.tpot_p99)),
-        ("e2e_p50".into(), Value::Num(s.e2e_p50)),
-        ("e2e_p99".into(), Value::Num(s.e2e_p99)),
-        ("goodput_rps".into(), Value::Num(s.goodput_rps)),
-        (
-            "goodput_tokens_per_s".into(),
-            Value::Num(s.goodput_tokens_per_s),
-        ),
-        ("mean_queue_depth".into(), Value::Num(s.mean_queue_depth)),
-        ("sim_seconds".into(), Value::Num(s.sim_seconds)),
-        (
-            "classes".into(),
-            Value::Arr(s.classes.iter().map(class_json).collect()),
-        ),
-    ])
+    ];
+    point.extend(fields(
+        s,
+        &[
+            Completed,
+            AdmissionRejects,
+            Shed,
+            TtftP50,
+            TtftP95,
+            TtftP99,
+            TpotP50,
+            TpotP95,
+            TpotP99,
+            E2eP50,
+            E2eP99,
+            GoodputRps,
+            GoodputTokensPerS,
+            MeanQueueDepth,
+            SimSeconds,
+            Classes,
+        ],
+    ));
+    Value::Obj(point)
 }
 
 /// Builds the sweep manifest on a `threads`-wide worker pool. The tenant-mix
@@ -279,12 +266,7 @@ pub fn run_with_threads(quick: bool, threads: usize) -> Report {
         "Shed",
     ]);
     let manifest = sweep_manifest(quick, &rates, iterations, threads, &mut report);
-    match fs::create_dir_all("target/figs")
-        .and_then(|_| fs::write(MANIFEST_PATH, manifest.pretty()))
-    {
-        Ok(()) => report.note(format!("machine-readable manifest: {MANIFEST_PATH}")),
-        Err(e) => report.note(format!("WARNING: could not write {MANIFEST_PATH}: {e}")),
-    }
+    crate::figs::write_manifest(&mut report, MANIFEST_PATH, &manifest);
     report.note(
         "deterministic: grid points merge by index, so the manifest is \
          byte-identical across runs and --threads settings \
@@ -351,5 +333,42 @@ mod tests {
             }
         }
         assert!(validate(&manifest).unwrap_err().contains("classes"));
+    }
+
+    #[test]
+    fn point_keys_keep_their_order() {
+        use crate::figs::validate::tests::{first_point, keys, CLASS_KEYS};
+        let manifest = tiny_manifest_with_threads(1);
+        assert_eq!(
+            keys(&manifest),
+            ["schema", "quick", "seed", "iterations", "points"]
+        );
+        let point = first_point(&manifest);
+        assert_eq!(
+            keys(point),
+            [
+                "interactive_weight",
+                "batch_weight",
+                "arrival_rate",
+                "completed",
+                "admission_rejects",
+                "shed",
+                "ttft_p50",
+                "ttft_p95",
+                "ttft_p99",
+                "tpot_p50",
+                "tpot_p95",
+                "tpot_p99",
+                "e2e_p50",
+                "e2e_p99",
+                "goodput_rps",
+                "goodput_tokens_per_s",
+                "mean_queue_depth",
+                "sim_seconds",
+                "classes",
+            ]
+        );
+        let class = &point.get("classes").and_then(Value::as_array).unwrap()[0];
+        assert_eq!(keys(class), CLASS_KEYS);
     }
 }

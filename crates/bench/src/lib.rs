@@ -16,6 +16,7 @@ pub mod perf;
 pub mod platforms;
 pub mod report;
 pub mod scenario_run;
+pub mod summary_json;
 
 /// The hand-rolled JSON layer, hoisted into the `moentwine-json` leaf
 /// crate so the spec layer and core can use it too; re-exported here

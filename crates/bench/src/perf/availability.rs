@@ -24,13 +24,13 @@ use std::path::Path;
 use moe_workload::{RouterPolicy, Scenario, SchedulingMode, WorkloadMix};
 use moentwine_core::engine::{EngineConfig, SummaryMode};
 use moentwine_core::fleet::{
-    Fleet, FleetAvailability, FleetEvent, FleetEventKind, FleetScheduler, FleetSummary,
-    ReplicaState,
+    Fleet, FleetEvent, FleetEventKind, FleetScheduler, FleetSummary, ReplicaState,
 };
 use moentwine_spec::{BatchSpec, EngineSpec, FleetSpec, ModelSpec, ServingSpec};
 
 use crate::json::Value;
 use crate::platforms::{wsc_plan, Platform, WscMapping};
+use crate::summary_json::{self, availability_json, AvailabilityField, FleetField, ServingField};
 
 /// Schema identifier embedded in (and required of) the manifest.
 pub const SCHEMA: &str = "moentwine/fleet_availability/v1";
@@ -80,28 +80,38 @@ fn chaos_timeline() -> Vec<FleetEvent> {
 pub struct AvailabilityPoint {
     /// Synchronization rounds executed so far.
     pub round: u64,
-    /// Fleet simulated time, seconds.
-    pub sim_seconds: f64,
-    /// Requests completed so far (fleet-wide).
-    pub completed: u64,
-    /// Cumulative goodput, requests/second of simulated time.
-    pub goodput_rps: f64,
-    /// TTFT percentiles over completions so far, seconds.
-    pub ttft_p50: f64,
-    /// 95th-percentile TTFT, seconds.
-    pub ttft_p95: f64,
-    /// 99th-percentile TTFT, seconds.
-    pub ttft_p99: f64,
-    /// Time-weighted available-replica fraction so far.
-    pub available_fraction: f64,
-    /// Timeline events applied so far.
-    pub events_applied: u64,
-    /// In-flight requests interrupted by crashes so far.
-    pub crash_interruptions: u64,
-    /// Σ (input + output) tokens across re-queued requests so far.
-    pub requeued_tokens: u64,
     /// Replicas currently in the `Active` (admitting) state.
     pub active_replicas: u64,
+    /// The cumulative fleet summary at the checkpoint.
+    pub summary: FleetSummary,
+}
+
+/// The summary fields each checkpoint emits, between `round` and
+/// `active_replicas`.
+const CHECKPOINT_FIELDS: [FleetField; 10] = [
+    FleetField::SimSeconds,
+    FleetField::Aggregate(ServingField::Completed),
+    FleetField::Aggregate(ServingField::GoodputRps),
+    FleetField::Aggregate(ServingField::TtftP50),
+    FleetField::Aggregate(ServingField::TtftP95),
+    FleetField::Aggregate(ServingField::TtftP99),
+    FleetField::Availability(AvailabilityField::AvailableFraction),
+    FleetField::Availability(AvailabilityField::EventsApplied),
+    FleetField::Availability(AvailabilityField::CrashInterruptions),
+    FleetField::Availability(AvailabilityField::RequeuedTokens),
+];
+
+impl AvailabilityPoint {
+    /// The checkpoint's manifest entry.
+    pub fn to_json(&self) -> Value {
+        let mut fields = vec![("round".into(), Value::Num(self.round as f64))];
+        fields.extend(summary_json::fields(&self.summary, &CHECKPOINT_FIELDS));
+        fields.push((
+            "active_replicas".into(),
+            Value::Num(self.active_replicas as f64),
+        ));
+        Value::Obj(fields)
+    }
 }
 
 /// The measured figure: checkpointed curve plus final availability report.
@@ -162,71 +172,19 @@ fn run_chaos(
     let mut points = Vec::new();
     while fleet.rounds() < rounds {
         fleet.run(chunk.min((rounds - fleet.rounds()) as usize));
-        let summary = fleet.summary();
-        let active = fleet
+        let active_replicas = fleet
             .states()
             .iter()
             .filter(|s| matches!(s, ReplicaState::Active))
             .count() as u64;
         points.push(AvailabilityPoint {
             round: fleet.rounds(),
-            sim_seconds: summary.sim_seconds,
-            completed: summary.aggregate.completed as u64,
-            goodput_rps: summary.aggregate.goodput_rps,
-            ttft_p50: summary.aggregate.ttft_p50,
-            ttft_p95: summary.aggregate.ttft_p95,
-            ttft_p99: summary.aggregate.ttft_p99,
-            available_fraction: summary.availability.available_fraction,
-            events_applied: summary.availability.events_applied,
-            crash_interruptions: summary.availability.crash_interruptions,
-            requeued_tokens: summary.availability.requeued_tokens,
-            active_replicas: active,
+            active_replicas,
+            summary: fleet.summary(),
         });
     }
     let summary = fleet.summary();
     (points, summary)
-}
-
-/// The availability section of the manifest (the final accounting). Also
-/// reused by the scenario-run manifests for fleets with a timeline.
-pub fn availability_json(a: &FleetAvailability) -> Value {
-    let num = Value::Num;
-    Value::Obj(vec![
-        ("events_applied".into(), num(a.events_applied as f64)),
-        (
-            "crash_interruptions".into(),
-            num(a.crash_interruptions as f64),
-        ),
-        ("drain_rerouted".into(), num(a.drain_rerouted as f64)),
-        ("crash_rerouted".into(), num(a.crash_rerouted as f64)),
-        ("requeued_tokens".into(), num(a.requeued_tokens as f64)),
-        (
-            "replayed_prefill_tokens".into(),
-            num(a.replayed_prefill_tokens as f64),
-        ),
-        ("available_fraction".into(), num(a.available_fraction)),
-        (
-            "replica_states".into(),
-            Value::strings(a.replica_states.iter().copied()),
-        ),
-        (
-            "goodput_windows".into(),
-            Value::Arr(
-                a.goodput_windows
-                    .iter()
-                    .map(|w| {
-                        Value::Obj(vec![
-                            ("after".into(), Value::Str(w.after.clone())),
-                            ("start".into(), num(w.start)),
-                            ("end".into(), num(w.end)),
-                            ("completed".into(), num(w.completed as f64)),
-                            ("goodput_rps".into(), num(w.goodput_rps)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
 }
 
 /// Runs the measurement. `quick` shrinks the round budget for CI smoke
@@ -240,7 +198,12 @@ pub fn measure_availability(quick: bool) -> AvailabilityFig {
         run_chaos(&platform, &plan, FleetScheduler::Lockstep, rounds);
     let (event_points, event_summary) =
         run_chaos(&platform, &plan, FleetScheduler::EventHeap, rounds);
-    let schedulers_agree = lockstep_points == event_points
+    // Agreement is judged on what the manifest emits: every checkpoint
+    // entry and the final availability section.
+    let curve = |points: &[AvailabilityPoint]| -> Vec<Value> {
+        points.iter().map(AvailabilityPoint::to_json).collect()
+    };
+    let schedulers_agree = curve(&lockstep_points) == curve(&event_points)
         && availability_json(&lockstep_summary.availability).pretty()
             == availability_json(&event_summary.availability).pretty();
 
@@ -257,18 +220,22 @@ pub fn measure_availability(quick: bool) -> AvailabilityFig {
 impl AvailabilityFig {
     /// The JSON manifest written to [`MANIFEST_PATH`].
     pub fn to_json(&self, quick: bool) -> Value {
-        let num = Value::Num;
-        Value::Obj(vec![
+        let mut fields = vec![
             ("schema".into(), Value::Str(SCHEMA.into())),
             ("quick".into(), Value::Bool(quick)),
-            ("replicas".into(), num(self.replicas as f64)),
-            ("request_rate".into(), num(self.request_rate)),
-            ("rounds".into(), num(self.rounds as f64)),
-            ("sim_seconds".into(), num(self.final_summary.sim_seconds)),
-            (
-                "completed".into(),
-                num(self.final_summary.aggregate.completed as f64),
-            ),
+            // The initial width; the timeline moves the live count.
+            ("replicas".into(), Value::Num(self.replicas as f64)),
+            ("request_rate".into(), Value::Num(self.request_rate)),
+            ("rounds".into(), Value::Num(self.rounds as f64)),
+        ];
+        fields.extend(summary_json::fields(
+            &self.final_summary,
+            &[
+                FleetField::SimSeconds,
+                FleetField::Aggregate(ServingField::Completed),
+            ],
+        ));
+        fields.extend([
             (
                 "schedulers_agree".into(),
                 Value::Bool(self.schedulers_agree),
@@ -279,32 +246,10 @@ impl AvailabilityFig {
             ),
             (
                 "points".into(),
-                Value::Arr(
-                    self.points
-                        .iter()
-                        .map(|p| {
-                            Value::Obj(vec![
-                                ("round".into(), num(p.round as f64)),
-                                ("sim_seconds".into(), num(p.sim_seconds)),
-                                ("completed".into(), num(p.completed as f64)),
-                                ("goodput_rps".into(), num(p.goodput_rps)),
-                                ("ttft_p50".into(), num(p.ttft_p50)),
-                                ("ttft_p95".into(), num(p.ttft_p95)),
-                                ("ttft_p99".into(), num(p.ttft_p99)),
-                                ("available_fraction".into(), num(p.available_fraction)),
-                                ("events_applied".into(), num(p.events_applied as f64)),
-                                (
-                                    "crash_interruptions".into(),
-                                    num(p.crash_interruptions as f64),
-                                ),
-                                ("requeued_tokens".into(), num(p.requeued_tokens as f64)),
-                                ("active_replicas".into(), num(p.active_replicas as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                Value::Arr(self.points.iter().map(AvailabilityPoint::to_json).collect()),
             ),
-        ])
+        ]);
+        Value::Obj(fields)
     }
 
     /// Writes the manifest, creating parent directories as needed.

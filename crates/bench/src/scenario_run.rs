@@ -12,10 +12,14 @@
 
 use std::path::{Path, PathBuf};
 
+use moentwine_core::engine::ServingSummary;
 use moentwine_spec::{ConfigError, ScenarioOutcome, ScenarioSpec};
 
 use crate::json::Value;
 use crate::report::fmt_time;
+use crate::summary_json::{
+    self, FleetField, HandoffField, RunField, ServingField, SpeculativeField,
+};
 use crate::Report;
 
 /// Schema identifier embedded in (and required of) every run manifest.
@@ -30,202 +34,93 @@ pub const MANIFEST_DIR: &str = "target/figs/scenario";
 /// percentiles.
 pub const QUICK_ITERATIONS: usize = 250;
 
+/// The serving section of every point, in emission order.
+const SERVING_FIELDS: [ServingField; 14] = [
+    ServingField::Completed,
+    ServingField::AdmissionRejects,
+    ServingField::SimSeconds,
+    ServingField::GoodputRps,
+    ServingField::GoodputTokensPerS,
+    ServingField::TtftP50,
+    ServingField::TtftP95,
+    ServingField::TtftP99,
+    ServingField::TpotP50,
+    ServingField::TpotP95,
+    ServingField::TpotP99,
+    ServingField::E2eP50,
+    ServingField::E2eP99,
+    ServingField::MeanQueueDepth,
+];
+
+/// The `fleet` section.
+const FLEET_FIELDS: [FleetField; 5] = [
+    FleetField::Replicas,
+    FleetField::Rounds,
+    FleetField::RoutingImbalance,
+    FleetField::CompletionImbalance,
+    FleetField::Routed,
+];
+
+fn serving_json(s: &ServingSummary) -> Value {
+    let mut fields = summary_json::fields(s, &SERVING_FIELDS);
+    // Per-class SLO sections ride only on workload-profiled runs, so
+    // workload-free scenario manifests stay byte-identical to earlier
+    // schemas (same gating as the fleet availability section).
+    if !s.classes.is_empty() {
+        fields.extend(summary_json::fields(
+            s,
+            &[ServingField::Shed, ServingField::Classes],
+        ));
+    }
+    Value::Obj(fields)
+}
+
 /// Flattens one scenario point's outcome into manifest fields.
 fn outcome_json(label: &str, spec: &ScenarioSpec, outcome: &ScenarioOutcome) -> Value {
+    let kind = match outcome {
+        ScenarioOutcome::Engine { .. } => "engine",
+        ScenarioOutcome::Fleet(_) => "fleet",
+    };
     let mut fields: Vec<(String, Value)> = vec![
         ("label".into(), Value::Str(label.into())),
-        (
-            "kind".into(),
-            Value::Str(
-                match outcome {
-                    ScenarioOutcome::Engine { .. } => "engine",
-                    ScenarioOutcome::Fleet(_) => "fleet",
-                }
-                .into(),
-            ),
-        ),
+        ("kind".into(), Value::Str(kind.into())),
         ("iterations".into(), Value::Num(spec.iterations as f64)),
     ];
-    let serving_fields = |s: &moentwine_core::engine::ServingSummary| {
-        let mut fields = vec![
-            ("completed".to_string(), Value::Num(s.completed as f64)),
-            (
-                "admission_rejects".to_string(),
-                Value::Num(s.admission_rejects as f64),
-            ),
-            ("sim_seconds".to_string(), Value::Num(s.sim_seconds)),
-            ("goodput_rps".to_string(), Value::Num(s.goodput_rps)),
-            (
-                "goodput_tokens_per_s".to_string(),
-                Value::Num(s.goodput_tokens_per_s),
-            ),
-            ("ttft_p50".to_string(), Value::Num(s.ttft_p50)),
-            ("ttft_p95".to_string(), Value::Num(s.ttft_p95)),
-            ("ttft_p99".to_string(), Value::Num(s.ttft_p99)),
-            ("tpot_p50".to_string(), Value::Num(s.tpot_p50)),
-            ("tpot_p95".to_string(), Value::Num(s.tpot_p95)),
-            ("tpot_p99".to_string(), Value::Num(s.tpot_p99)),
-            ("e2e_p50".to_string(), Value::Num(s.e2e_p50)),
-            ("e2e_p99".to_string(), Value::Num(s.e2e_p99)),
-            (
-                "mean_queue_depth".to_string(),
-                Value::Num(s.mean_queue_depth),
-            ),
-        ];
-        // Per-class SLO sections ride only on workload-profiled runs, so
-        // workload-free scenario manifests stay byte-identical to earlier
-        // schemas (same gating as the fleet availability section).
-        if !s.classes.is_empty() {
-            fields.push(("shed".to_string(), Value::Num(s.shed as f64)));
-            fields.push((
-                "classes".to_string(),
-                Value::Arr(
-                    s.classes
-                        .iter()
-                        .map(|c| {
-                            Value::Obj(vec![
-                                ("class".into(), Value::Str(c.class.name().into())),
-                                ("completed".into(), Value::Num(c.completed as f64)),
-                                ("rejected".into(), Value::Num(c.rejected as f64)),
-                                ("shed".into(), Value::Num(c.shed as f64)),
-                                ("ttft_p50".into(), Value::Num(c.ttft_p50)),
-                                ("ttft_p95".into(), Value::Num(c.ttft_p95)),
-                                ("ttft_p99".into(), Value::Num(c.ttft_p99)),
-                                ("tpot_p50".into(), Value::Num(c.tpot_p50)),
-                                ("tpot_p95".into(), Value::Num(c.tpot_p95)),
-                                ("tpot_p99".into(), Value::Num(c.tpot_p99)),
-                                ("ttft_slo".into(), Value::Num(c.ttft_slo)),
-                                ("tpot_slo".into(), Value::Num(c.tpot_slo)),
-                                ("ttft_attainment".into(), Value::Num(c.ttft_attainment)),
-                                ("tpot_attainment".into(), Value::Num(c.tpot_attainment)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        fields
-    };
     match outcome {
         ScenarioOutcome::Engine { run, serving } => {
-            fields.push((
-                "run".into(),
-                Value::Obj(vec![
-                    (
-                        "mean_iteration_time".into(),
-                        Value::Num(run.mean_iteration_time),
-                    ),
-                    ("mean_all_reduce".into(), Value::Num(run.mean_all_reduce)),
-                    ("mean_all_to_all".into(), Value::Num(run.mean_all_to_all)),
-                    ("mean_moe_compute".into(), Value::Num(run.mean_moe_compute)),
-                    ("mean_load_ratio".into(), Value::Num(run.mean_load_ratio)),
-                    (
-                        "mean_tokens_per_group".into(),
-                        Value::Num(run.mean_tokens_per_group),
-                    ),
-                    (
-                        "tokens_per_second_per_device".into(),
-                        Value::Num(run.tokens_per_second_per_device),
-                    ),
-                ]),
-            ));
-            fields.push(("serving".into(), Value::Obj(serving_fields(serving))));
+            fields.push(("run".into(), summary_json::object(run, RunField::ALL)));
+            fields.push(("serving".into(), serving_json(serving)));
         }
         ScenarioOutcome::Fleet(summary) => {
             fields.push((
                 "fleet".into(),
-                Value::Obj(vec![
-                    ("replicas".into(), Value::Num(summary.replicas as f64)),
-                    ("rounds".into(), Value::Num(summary.rounds as f64)),
-                    (
-                        "routing_imbalance".into(),
-                        Value::Num(summary.routing_imbalance),
-                    ),
-                    (
-                        "completion_imbalance".into(),
-                        Value::Num(summary.completion_imbalance),
-                    ),
-                    (
-                        "routed".into(),
-                        Value::Arr(
-                            summary
-                                .routed
-                                .iter()
-                                .map(|&r| Value::Num(r as f64))
-                                .collect(),
-                        ),
-                    ),
-                ]),
+                summary_json::object(&**summary, &FLEET_FIELDS),
             ));
-            fields.push((
-                "serving".into(),
-                Value::Obj(serving_fields(&summary.aggregate)),
-            ));
+            fields.push(("serving".into(), serving_json(&summary.aggregate)));
             // Only fleets with a timeline carry the section, so event-free
             // scenario manifests stay byte-identical to earlier schemas.
             if summary.availability.events_applied > 0 {
                 fields.push((
                     "availability".into(),
-                    crate::perf::availability::availability_json(&summary.availability),
+                    summary_json::availability_json(&summary.availability),
                 ));
             }
             // Same gating for the hand-off section: only disaggregated
             // fleets that actually priced a KV transfer carry it, so every
             // colocated manifest stays byte-identical to earlier schemas.
-            let h = &summary.handoff;
-            if h.kv_transfers > 0 {
+            if summary.handoff.kv_transfers > 0 {
                 fields.push((
                     "handoff".into(),
-                    Value::Obj(vec![
-                        ("kv_transfers".into(), Value::Num(h.kv_transfers as f64)),
-                        ("kv_transfer_bytes".into(), Value::Num(h.kv_transfer_bytes)),
-                        (
-                            "kv_transfer_seconds".into(),
-                            Value::Num(h.kv_transfer_seconds),
-                        ),
-                        (
-                            "max_transfer_seconds".into(),
-                            Value::Num(h.max_transfer_seconds),
-                        ),
-                        (
-                            "pending_transfers".into(),
-                            Value::Num(h.pending_transfers as f64),
-                        ),
-                        (
-                            "handoffs_completed".into(),
-                            Value::Num(h.handoffs_completed as f64),
-                        ),
-                        (
-                            "mean_handoff_latency".into(),
-                            Value::Num(h.mean_handoff_latency),
-                        ),
-                        (
-                            "max_handoff_latency".into(),
-                            Value::Num(h.max_handoff_latency),
-                        ),
-                        ("mean_e2e_ttft".into(), Value::Num(h.mean_e2e_ttft)),
-                        ("max_e2e_ttft".into(), Value::Num(h.max_e2e_ttft)),
-                    ]),
+                    summary_json::object(&summary.handoff, HandoffField::ALL),
                 ));
             }
             // Same gating for the speculative section: only fleets that
             // actually dispatched a first-token race carry it, so every
             // unicast manifest stays byte-identical to earlier schemas.
-            let sp = &summary.speculative;
-            if sp.groups_dispatched > 0 {
+            if summary.speculative.groups_dispatched > 0 {
                 fields.push((
                     "speculative".into(),
-                    Value::Obj(vec![
-                        (
-                            "groups_dispatched".into(),
-                            Value::Num(sp.groups_dispatched as f64),
-                        ),
-                        (
-                            "cancelled_copies".into(),
-                            Value::Num(sp.cancelled_copies as f64),
-                        ),
-                        ("open_groups".into(), Value::Num(sp.open_groups as f64)),
-                    ]),
+                    summary_json::object(&summary.speculative, SpeculativeField::ALL),
                 ));
             }
         }
@@ -513,6 +408,7 @@ pub fn run_file(path: &Path, quick: bool, threads: usize) -> Result<(Report, Pat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figs::validate::tests::{first_point, keys, CLASS_KEYS};
     use moe_workload::RouterPolicy;
     use moentwine_spec::{BatchSpec, EngineSpec, FleetSpec, PlatformSpec, ServingSpec, SweepSpec};
 
@@ -544,6 +440,22 @@ mod tests {
                 .len(),
             2
         );
+        assert_eq!(keys(&serial), ["schema", "name", "quick", "spec", "points"]);
+        let point = first_point(&serial);
+        assert_point_keys(point, &["run", "serving"]);
+        assert_eq!(
+            keys(point.get("run").unwrap()),
+            [
+                "mean_iteration_time",
+                "mean_all_reduce",
+                "mean_all_to_all",
+                "mean_moe_compute",
+                "mean_load_ratio",
+                "mean_tokens_per_group",
+                "tokens_per_second_per_device",
+            ]
+        );
+        assert_eq!(keys(point.get("serving").unwrap()), SERVING_KEYS);
     }
 
     #[test]
@@ -559,6 +471,18 @@ mod tests {
         // Event-free fleets carry no availability section (byte-stability
         // of pre-timeline manifests).
         assert!(points[0].get("availability").is_none());
+        assert_point_keys(&points[0], &["fleet", "serving"]);
+        assert_eq!(
+            keys(points[0].get("fleet").unwrap()),
+            [
+                "replicas",
+                "rounds",
+                "routing_imbalance",
+                "completion_imbalance",
+                "routed",
+            ]
+        );
+        assert_eq!(keys(points[0].get("serving").unwrap()), SERVING_KEYS);
     }
 
     #[test]
@@ -588,10 +512,29 @@ mod tests {
             avail.get("events_applied").and_then(Value::as_f64),
             Some(2.0)
         );
-        assert!(avail
+        assert_point_keys(&points[0], &["fleet", "serving", "availability"]);
+        assert_eq!(
+            keys(avail),
+            [
+                "events_applied",
+                "crash_interruptions",
+                "drain_rerouted",
+                "crash_rerouted",
+                "requeued_tokens",
+                "replayed_prefill_tokens",
+                "available_fraction",
+                "replica_states",
+                "goodput_windows",
+            ]
+        );
+        let windows = avail
             .get("goodput_windows")
             .and_then(Value::as_array)
-            .is_some());
+            .unwrap();
+        assert_eq!(
+            keys(&windows[0]),
+            ["after", "start", "end", "completed", "goodput_rps"]
+        );
     }
 
     #[test]
@@ -634,6 +577,22 @@ mod tests {
                 .and_then(Value::as_f64)
                 .unwrap()
                 > 0.0
+        );
+        assert_point_keys(&points[0], &["fleet", "serving", "handoff"]);
+        assert_eq!(
+            keys(handoff),
+            [
+                "kv_transfers",
+                "kv_transfer_bytes",
+                "kv_transfer_seconds",
+                "max_transfer_seconds",
+                "pending_transfers",
+                "handoffs_completed",
+                "mean_handoff_latency",
+                "max_handoff_latency",
+                "mean_e2e_ttft",
+                "max_e2e_ttft",
+            ]
         );
         let parallel = run_manifest(&spec, true, 3).unwrap();
         assert_eq!(manifest.pretty(), parallel.pretty());
@@ -691,6 +650,12 @@ mod tests {
             classes[1].get("class").and_then(Value::as_str),
             Some("batch")
         );
+        let serving: Vec<&str> = SERVING_KEYS
+            .into_iter()
+            .chain(["shed", "classes"])
+            .collect();
+        assert_eq!(keys(points[0].get("serving").unwrap()), serving);
+        assert_eq!(keys(&classes[0]), CLASS_KEYS);
         let parallel = run_manifest(&spec, false, 3).unwrap();
         assert_eq!(manifest.pretty(), parallel.pretty());
     }
@@ -718,5 +683,55 @@ mod tests {
             points[0].get("iterations").and_then(Value::as_f64),
             Some(QUICK_ITERATIONS as f64)
         );
+    }
+
+    #[test]
+    fn speculative_fleet_points_carry_the_gated_section() {
+        let spec = tiny_serving_spec()
+            .with_fleet(FleetSpec::new(2, RouterPolicy::Speculative { k: 2 }, 2.0e4))
+            .with_iterations(250);
+        let manifest = run_manifest(&spec, true, 1).unwrap();
+        validate(&manifest).expect("schema");
+        let point = first_point(&manifest);
+        assert_point_keys(point, &["fleet", "serving", "speculative"]);
+        let speculative = point.get("speculative").unwrap();
+        assert_eq!(
+            keys(speculative),
+            ["groups_dispatched", "cancelled_copies", "open_groups"]
+        );
+        assert!(
+            speculative
+                .get("groups_dispatched")
+                .and_then(Value::as_f64)
+                .unwrap()
+                >= 1.0
+        );
+    }
+
+    /// The serving section every point carries, in emission order.
+    const SERVING_KEYS: [&str; 14] = [
+        "completed",
+        "admission_rejects",
+        "sim_seconds",
+        "goodput_rps",
+        "goodput_tokens_per_s",
+        "ttft_p50",
+        "ttft_p95",
+        "ttft_p99",
+        "tpot_p50",
+        "tpot_p95",
+        "tpot_p99",
+        "e2e_p50",
+        "e2e_p99",
+        "mean_queue_depth",
+    ];
+
+    /// Asserts a point's key order: the point header, then `sections`.
+    fn assert_point_keys(point: &Value, sections: &[&str]) {
+        let expected: Vec<&str> = ["label", "kind", "iterations"]
+            .into_iter()
+            .chain(sections.iter().copied())
+            .collect();
+        assert_eq!(keys(point), expected);
     }
 }

@@ -49,6 +49,12 @@ pub enum ConfigError {
     /// `cache_entries` must be ≥ 1: the memoizing backend needs at least
     /// one schedule slot.
     CacheEntriesZero,
+    /// A serving engine's `max_batch_tokens` (token budget per group per
+    /// iteration) must be ≥ 1.
+    MaxBatchTokensZero,
+    /// A serving engine's `max_active` (concurrent decode sequences per
+    /// group) must be ≥ 1.
+    MaxActiveZero,
     /// A fleet needs at least one replica.
     ReplicasZero,
     /// A fleet may hold at most
@@ -185,6 +191,8 @@ impl std::fmt::Display for ConfigError {
             ConfigError::CacheEntriesZero => {
                 write!(f, "cache_entries must be ≥ 1")
             }
+            ConfigError::MaxBatchTokensZero => write!(f, "max_batch_tokens must be ≥ 1"),
+            ConfigError::MaxActiveZero => write!(f, "max_active must be ≥ 1"),
             ConfigError::ReplicasZero => write!(f, "need at least one replica"),
             ConfigError::TooManyReplicas { replicas, max } => {
                 write!(
@@ -315,6 +323,14 @@ mod tests {
             }
             .to_string(),
             "fleet asks for 70000 replicas (initial + scale-ups), at most 65536"
+        );
+        assert_eq!(
+            ConfigError::MaxBatchTokensZero.to_string(),
+            "max_batch_tokens must be ≥ 1"
+        );
+        assert_eq!(
+            ConfigError::MaxActiveZero.to_string(),
+            "max_active must be ≥ 1"
         );
         assert!(ConfigError::IterationPeriodOutOfRange { value: -1.0 }
             .to_string()

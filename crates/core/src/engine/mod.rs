@@ -245,7 +245,9 @@ impl EngineConfig {
 
     /// Checks the configuration's internal consistency: stride and
     /// micro-batch counts ≥ 1, `load_ema` and `kv_hbm_fraction` in
-    /// `(0, 1]`, at least one schedule-cache entry, and a usable
+    /// `(0, 1]`, at least one schedule-cache entry, non-zero serving
+    /// budgets (`max_batch_tokens`, `max_active`) in
+    /// [`BatchMode::Scheduled`] and [`BatchMode::External`], and a usable
     /// `iteration_period` in [`BatchMode::Scheduled`]. This is the single
     /// validation gate behind [`InferenceEngine::try_new`],
     /// [`Fleet::try_new`](crate::fleet::Fleet::try_new), and the
@@ -273,6 +275,24 @@ impl EngineConfig {
         }
         if self.cache_entries < 1 {
             return Err(ConfigError::CacheEntriesZero);
+        }
+        if let BatchMode::Scheduled {
+            max_batch_tokens,
+            max_active,
+            ..
+        }
+        | BatchMode::External {
+            max_batch_tokens,
+            max_active,
+            ..
+        } = self.batch
+        {
+            if max_batch_tokens < 1 {
+                return Err(ConfigError::MaxBatchTokensZero);
+            }
+            if max_active < 1 {
+                return Err(ConfigError::MaxActiveZero);
+            }
         }
         if let BatchMode::Scheduled {
             iteration_period, ..
@@ -1448,6 +1468,33 @@ mod tests {
 
         let c = base().with_cache_entries(0);
         assert_eq!(c.validate(), Err(ConfigError::CacheEntriesZero));
+
+        // Zero serving budgets used to panic in the serving queue's
+        // constructor; both serving modes reject them up front.
+        let scheduled = |max_batch_tokens: u32, max_active: usize| BatchMode::Scheduled {
+            mode: SchedulingMode::Hybrid,
+            max_batch_tokens,
+            max_active,
+            request_rate: 100.0,
+            iteration_period: 0.02,
+        };
+        let external = |max_batch_tokens: u32, max_active: usize| BatchMode::External {
+            mode: SchedulingMode::Hybrid,
+            max_batch_tokens,
+            max_active,
+        };
+        let modes: [fn(u32, usize) -> BatchMode; 2] = [scheduled, external];
+        for batch in modes {
+            assert_eq!(base().with_batch(batch(2048, 64)).validate(), Ok(()));
+            assert_eq!(
+                base().with_batch(batch(0, 64)).validate(),
+                Err(ConfigError::MaxBatchTokensZero)
+            );
+            assert_eq!(
+                base().with_batch(batch(2048, 0)).validate(),
+                Err(ConfigError::MaxActiveZero)
+            );
+        }
 
         for period in [0.0, -0.02, f64::INFINITY, f64::NAN, 1e-320] {
             let mut c = base();

@@ -25,10 +25,8 @@
 //!   [`Fleet::step_round_with`] takes any [`ReplicaPool`] — and the result
 //!   is byte-identical to serial stepping by construction: routing is
 //!   serial at the barrier, and each engine's iteration is a pure function
-//!   of its own state. Under [`FleetScheduler::EventHeap`] the round is
-//!   executed as a heap-ordered wave — replicas step in
-//!   `(sim_time, replica index)` order — which, by the same independence
-//!   argument, is byte-identical to lock-step rounds; the goldens pin this.
+//!   of its own state. Both [`FleetScheduler`]s run rounds this way, so
+//!   round-driven runs are identical under either; the goldens pin this.
 //! * **Time-horizon runs** ([`Fleet::run_until`]) are where the schedulers
 //!   diverge in cost: lock-step loops whole rounds until the fleet clock
 //!   reaches the horizon, pricing an idle iteration on every drained
@@ -98,10 +96,10 @@ pub enum FleetScheduler {
     /// must match it bit for bit in round-driven runs.
     Lockstep,
     /// Replicas advance in next-event-time order. Round-driven runs
-    /// execute each round as a heap-ordered wave (byte-identical to
-    /// lock-step); time-horizon runs ([`Fleet::run_until`]) park idle
-    /// replicas and wake them on arrival, skipping the idle iterations
-    /// lock-step prices at every barrier.
+    /// ([`Fleet::run`]) are the lock-step rounds; only time-horizon runs
+    /// ([`Fleet::run_until`]) differ: they park idle replicas and wake
+    /// them on arrival, skipping the idle iterations lock-step prices at
+    /// every barrier.
     #[default]
     EventHeap,
 }
@@ -1584,13 +1582,9 @@ impl<'a> Fleet<'a> {
 
     /// One synchronization round: route arrivals up to the fleet clock,
     /// advance every replica by one iteration on `pool`, then resynchronize
-    /// the fleet clock. Output is identical for every [`ReplicaPool`].
-    ///
-    /// Under [`FleetScheduler::EventHeap`] the jobs are submitted as a
-    /// heap-ordered wave — `(sim_time, replica index)` order — instead of
-    /// replica order. Replicas are independent within a round, so the wave
-    /// is byte-identical to lock-step for any pool; the fleet goldens pin
-    /// this equivalence.
+    /// the fleet clock. Output is identical for every [`ReplicaPool`] and
+    /// both [`FleetScheduler`]s: replicas are independent within a round,
+    /// so job order does not matter.
     pub fn step_round_with(&mut self, pool: &dyn ReplicaPool) {
         self.route_arrivals();
         // Timeline events fire at the first barrier whose clock reached
@@ -1599,24 +1593,12 @@ impl<'a> Fleet<'a> {
         // round's arrivals (all ≤ the clock), keeping every per-replica
         // offer stream in arrival order.
         self.apply_due_events(self.clock);
-        let steppable: Vec<usize> = (0..self.engines.len())
-            .filter(|&i| self.states[i].steppable())
-            .collect();
-        let mut order = steppable;
-        if self.scheduler == FleetScheduler::EventHeap {
-            order.sort_by(|&a, &b| {
-                self.engines[a]
-                    .sim_time()
-                    .total_cmp(&self.engines[b].sim_time())
-                    .then(a.cmp(&b))
-            });
-        }
-        let mut slots: Vec<Option<&mut InferenceEngine<'a>>> =
-            self.engines.iter_mut().map(Some).collect();
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = order
-            .into_iter()
-            .map(|i| {
-                let engine = slots[i].take().expect("each replica steps once");
+        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = self
+            .engines
+            .iter_mut()
+            .zip(&self.states)
+            .filter(|(_, state)| state.steppable())
+            .map(|(engine, _)| {
                 Box::new(move || {
                     engine.step();
                 }) as Box<dyn FnOnce() + Send + '_>

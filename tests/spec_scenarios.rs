@@ -186,6 +186,23 @@ fn malformed_scenarios_fail_with_typed_errors() {
         spec.build(),
         Err(ConfigError::TooManyReplicas { .. })
     ));
+    // Zero serving budgets are typed errors at build, for a single engine
+    // and for a fleet's replica template (they used to panic in the
+    // serving queue's constructor).
+    for file in ["single_wafer_serving.json", "fleet_p2c.json"] {
+        let text = std::fs::read_to_string(scenarios_dir().join(file)).unwrap();
+        for (key, expected) in [
+            ("max_batch_tokens", ConfigError::MaxBatchTokensZero),
+            ("max_active", ConfigError::MaxActiveZero),
+        ] {
+            let needle = format!("\"{key}\": ");
+            let at = text.find(&needle).expect("budget key") + needle.len();
+            let end = at + text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+            let zeroed = format!("{}0{}", &text[..at], &text[end..]);
+            let spec = ScenarioSpec::from_json_text(&zeroed).unwrap();
+            assert_eq!(spec.build().unwrap_err(), expected, "{file}: {key}");
+        }
+    }
 }
 
 /// A subnormal `request_rate` passes the finite-positive check, but its
